@@ -210,13 +210,15 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
     if sieve.limit < limit:
         raise ValueError("sieve does not cover the requested limit")
     spf = sieve.spf
-    f = [Fraction(0)] * (limit + 1)
+    f: list = [0] * (limit + 1)
     h: list = [1] * (limit + 1)
-    prime_pair: dict[int, tuple[Fraction, Fraction]] = {}
+    prime_pair: dict[int, tuple[Rational, Rational]] = {}
     for n in range(2, limit + 1):
         p = spf[n]
         if p == n:
-            pair = (fn.f_value(n), fn.h_value(n))
+            # Integral prime values stay ints, so integral functions tabulate
+            # in int arithmetic rather than Fraction arithmetic.
+            pair = tuple(v.numerator if v.denominator == 1 else v for v in (fn.f_value(n), fn.h_value(n)))
             prime_pair[n] = pair
             f[n], h[n] = pair
             continue
@@ -224,5 +226,4 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
         m = n // p
         f[n] = fp * h[m] + f[m] * hp
         h[n] = hp * h[m]
-    f[0] = 0
     return f

@@ -4,8 +4,9 @@ For an L-additive f with nonvanishing h, the attached function takes the
 value f(p)/h(p) on every prime power p**k (k >= 1) and 0 elsewhere.  It
 inverts f through h: f = h * (h . Lambda_f) under Dirichlet convolution.
 
-Importing this module registers the builtin names "mangoldt:<fn>" and the
-related identity presets with the convolution verifier.
+The builtin names "mangoldt:<fn>" belong to the prime-power-supported class
+of the convolution catalog; the functions here wrap that class, and importing
+this module registers the related identity presets with the verifier.
 
 The classical variant with values log p is irrational-valued and lives in
 the float-based series module.
@@ -18,14 +19,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .convolution import (
-    BuiltinImpl,
     TabulatedFunction,
-    register_builtin_resolver,
+    prime_power_at,
     register_identity,
+    tabulate_prime_power,
 )
-from .errors import UnknownNameError
-from .factor import SieveTable, factorize, primes_up_to
-from .ladditive import LAdditiveFunction, l_additive_by_token
+from .factor import SieveTable
+from .ladditive import LAdditiveFunction
 
 
 @dataclass(frozen=True)
@@ -36,50 +36,15 @@ class MangoldtOf:
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
-    """f(p)/h(p) when n = p**k for some k >= 1, else 0 (including n = 1).
-
-    Prime powers are recognized by factorization: exactly one distinct prime.
-    """
+    """f(p)/h(p) when n = p**k for some k >= 1, else 0 (including n = 1)."""
     if n < 1:
         raise ValueError("mangoldt_eval requires n >= 1")
-    fact = factorize(n, sieve)
-    if len(fact) != 1:
-        return Fraction(0)
-    p = fact.factors[0].prime
-    return m.base.f_value(p) / m.base.h_value(p)
+    return Fraction(prime_power_at(m.base, n, sieve))
 
 
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
     """Tabulation on [1, limit]; nonzero only at the prime powers."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    vals: list = [0] * (limit + 1)
-    for p in primes_up_to(limit):
-        v = m.base.f_value(p) / m.base.h_value(p)
-        q = p
-        while q <= limit:
-            vals[q] = v
-            q *= p
-    return TabulatedFunction(limit, vals)
-
-
-def _mangoldt_resolver(name: str) -> Optional[BuiltinImpl]:
-    if not name.startswith("mangoldt:"):
-        return None
-    try:
-        base = l_additive_by_token(name.split(":", 1)[1])
-    except UnknownNameError:
-        return None
-    m = MangoldtOf(base)
-    return BuiltinImpl(
-        name,
-        False,
-        lambda limit, sieve, m=m: mangoldt_tabulate(m, limit)._vals,
-        lambda n, m=m: mangoldt_eval(m, n),
-    )
-
-
-register_builtin_resolver(_mangoldt_resolver)
+    return TabulatedFunction(limit, tabulate_prime_power(m.base, limit))
 
 
 def _register_catalog() -> None:

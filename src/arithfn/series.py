@@ -222,7 +222,7 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
     not bounded in-code, so the cutoff a.limit is the only tail information.
     """
     z = _as_finite_complex(s)
-    coeffs = np.array([float(v) for v in a.values()], dtype=np.float64)
+    coeffs = np.array(a.values(), dtype=np.float64)
     limit = a.limit
     value, magnitude = _sum_terms(limit, lambda lo, hi: coeffs[lo:hi] * _powers(lo, hi, z))
     c = _powers_error(z, limit) + 3.0

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 from arithfn import convolution
 from arithfn.cli import run
-from arithfn.convolution import BuiltinImpl, VerificationReport
+from arithfn.convolution import VerificationReport
 
 
 def out_lines(capsys):
@@ -113,19 +114,15 @@ class TestVerifyCommand:
         assert lines[-1].startswith("20/20 identities hold")
 
     def test_corruption_flips_exit_code(self, capsys, monkeypatch):
-        orig = convolution._SIMPLE_BUILTINS["tau"]
+        tau = convolution._CATALOG["tau"]
 
         def corrupted_tab(limit, sieve):
-            vals = orig.tabulate(limit, sieve)
+            vals = tau.tabulate(limit, sieve)
             if limit >= 100:
                 vals[100] += 1
             return vals
 
-        monkeypatch.setitem(
-            convolution._SIMPLE_BUILTINS,
-            "tau",
-            BuiltinImpl("tau", True, corrupted_tab, orig.at),
-        )
+        monkeypatch.setitem(convolution._CATALOG, "tau", dataclasses.replace(tau, tabulate=corrupted_tab))
         assert run(["verify", "all", "--limit", "1000"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 

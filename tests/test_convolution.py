@@ -131,27 +131,24 @@ class TestTabulate:
         assert tab("tau . delta", 4).values() == [0, 2, 2, 12]
 
     def test_builtins_against_oracles(self):
-        limit = 300
+        # The window reaches 2**10 and 3**6.  The tabulator and the point
+        # evaluator of a multiplicative builtin share g(p, a); these oracles do not.
+        limit = 2**10
         sieve = build_sieve(limit)
         cache = {}
-        assert tab("mu", limit, sieve=sieve, cache=cache).values() == [
-            naive_mobius(n) for n in range(1, limit + 1)
-        ]
-        assert tab("phi", limit, sieve=sieve, cache=cache).values() == [
-            naive_phi(n) for n in range(1, limit + 1)
-        ]
-        assert tab("sigma", limit, sieve=sieve, cache=cache).values() == [
-            naive_sigma_k(n, 1) for n in range(1, limit + 1)
-        ]
-        assert tab("sigma_0", limit, sieve=sieve, cache=cache).values() == [
-            naive_tau(n) for n in range(1, limit + 1)
-        ]
-        assert tab("sigma_2", limit, sieve=sieve, cache=cache).values() == [
-            naive_sigma_k(n, 2) for n in range(1, limit + 1)
-        ]
-        assert tab("delta", limit, sieve=sieve, cache=cache).values() == [
-            leibniz_delta(n) for n in range(1, limit + 1)
-        ]
+        oracles = {
+            "mu": naive_mobius,
+            "tau": naive_tau,
+            "phi": naive_phi,
+            "sigma": lambda n: naive_sigma_k(n, 1),
+            "sigma_0": lambda n: naive_sigma_k(n, 0),
+            "sigma_2": lambda n: naive_sigma_k(n, 2),
+            "sigma_3": lambda n: naive_sigma_k(n, 3),
+            "delta": leibniz_delta,
+        }
+        for name, oracle in oracles.items():
+            values = tab(name, limit, sieve=sieve, cache=cache).values()
+            assert values == [oracle(n) for n in range(1, limit + 1)], name
 
     def test_id_variants(self):
         assert tab("id_0", 4).values() == [1, 1, 1, 1]
@@ -247,6 +244,19 @@ class TestConvolveAt:
             t = tabulate(e, 60)
             for n in range(1, 61):
                 assert evaluate_at(e, n) == t[n]
+        # Every builtin, on a window that reaches 2**10 and 3**6.
+        names = (
+            "one", "eps", "id_-2", "id_0", "id_3", "mu", "tau", "phi", "sigma_0", "sigma_3",
+            "delta", "ld", "big_omega", "delta_p:3",
+            "mangoldt:delta", "mangoldt:ld", "mangoldt:big_omega", "mangoldt:delta_p:5",
+        )
+        limit = 2**10
+        sieve = build_sieve(limit)
+        for name in names:
+            e = parse_expression(name)
+            t = tabulate(e, limit, sieve)
+            for n in range(1, limit + 1):
+                assert evaluate_at(e, n) == t[n], (name, n)
 
 
 class TestDirichletInverse:

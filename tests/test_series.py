@@ -9,6 +9,7 @@ from arithfn import (
     MangoldtOf,
     SeriesCheckReport,
     SeriesEstimate,
+    TabulatedFunction,
     build_sieve,
     check_series_identity,
     classical_mangoldt_tabulate,
@@ -193,6 +194,12 @@ class TestCorrectRounding:
             exact = mpmath.fsum(v * mpmath.power(n, -mpmath.mpc(s)) for n, v in enumerate(t.values(), start=1))
             est = dirichlet_partial_sum(t, s)
             assert abs(mpmath.mpc(est.value) - exact) <= est.rounding_bound
+
+    def test_coefficients_convert_as_float_does(self):
+        # Large ints beyond 2**53 and Fractions round exactly as float() rounds them.
+        values = [2**64 + 1, -(2**64 + 1), 2**53 + 1, 10**30 + 12345, Fraction(1, 3), Fraction(-7, 10**20), 5]
+        t = TabulatedFunction.from_values(values)
+        assert dirichlet_partial_sum(t, 0).value == math.fsum(float(v) for v in t.values())
 
     def test_blocks_do_not_change_the_sum(self, monkeypatch):
         t = tabulate(parse_expression("mu . delta"), 5000)
