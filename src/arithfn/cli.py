@@ -13,11 +13,13 @@ import json
 import sys
 
 from .convolution import (
+    MangoldtOf,
     VerificationReport,
     convolve_at,
     dirichlet_convolve,
     fraction_to_str,
     list_identity_presets,
+    mangoldt_eval,
     parse_expression,
     tabulate,
     verify_all,
@@ -26,7 +28,6 @@ from .convolution import (
 from .errors import OutOfDomainError, ParseError, UnknownNameError
 from .factor import factorize, factorize_rational
 from .ladditive import eval_natural, eval_rational, l_additive_by_token
-from .mangoldt import MangoldtOf, mangoldt_eval
 from .series import check_series_identity, list_series_presets
 
 _LIMIT_HELP = "table window [1, N]; sieve memory is about one machine word per integer up to N"

@@ -22,6 +22,12 @@ tabulator and one point evaluator that works from the factorization:
     prime-power-supported       mangoldt:<fn>, f(p)/h(p) at every p**k
 
 Numeric literals are scalars and combine through "." only.
+
+The prime-power-supported class is the generalized von Mangoldt function
+Lambda_f (MangoldtOf, mangoldt_tabulate, mangoldt_eval).  The identity
+catalog is one dict from preset name to its formula and its cases: pairs of
+expression texts, or for the seeded compmult-distr preset a generator of
+table pairs.  verify_identity compares every case through first_mismatch.
 """
 
 from __future__ import annotations
@@ -33,12 +39,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, IO, Iterable, Optional, Sequence, Union
+from typing import Callable, IO, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, build_sieve, divisors, factorize, primes_up_to
 from .ladditive import (
     LAdditiveFunction,
+    as_exact,
     big_omega,
     delta,
     eval_natural,
@@ -466,10 +473,23 @@ def _leibniz_additive(name: str, fn: LAdditiveFunction, tab=None) -> BuiltinImpl
     return BuiltinImpl(name, True, tab, lambda n: eval_natural(fn, n))
 
 
+@dataclass(frozen=True)
+class MangoldtOf:
+    """The generalized von Mangoldt function Lambda_f attached to an L-additive base f.
+
+    It takes the value f(p)/h(p) on every prime power p**k (k >= 1) and 0
+    elsewhere, and inverts f through h: f = h * (h . Lambda_f).  The
+    classical variant with values log p is irrational-valued and lives in
+    the float-based series module.
+    """
+
+    base: LAdditiveFunction
+
+
 def _prime_ratio(fn: LAdditiveFunction, p: int) -> Rational:
-    """f(p)/h(p), as an int when it is integral."""
-    v = fn.f_value(p) / fn.h_value(p)
-    return v.numerator if v.denominator == 1 else v
+    """f(p)/h(p), the value of Lambda_f at every power of p."""
+    f, h = fn.at_prime(p)
+    return as_exact(Fraction(f, h))
 
 
 def tabulate_prime_power(fn: LAdditiveFunction, limit: int) -> list:
@@ -484,18 +504,26 @@ def tabulate_prime_power(fn: LAdditiveFunction, limit: int) -> list:
     return vals
 
 
-def prime_power_at(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Rational:
-    """Lambda_f(n): f(p)/h(p) when n = p**k for some k >= 1, else 0 (including n = 1)."""
+def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
+    """Tabulation on [1, limit]; nonzero only at the prime powers."""
+    return TabulatedFunction(limit, tabulate_prime_power(m.base, limit))
+
+
+def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
+    """f(p)/h(p) when n = p**k for some k >= 1, else 0 (including n = 1)."""
+    if n < 1:
+        raise ValueError("mangoldt_eval requires n >= 1")
     fact = factorize(n, sieve)
     if len(fact) != 1:
-        return 0
-    return _prime_ratio(fn, fact.factors[0].prime)
+        return Fraction(0)
+    return Fraction(_prime_ratio(m.base, fact.factors[0].prime))
 
 
 def _prime_power_supported(name: str, fn: LAdditiveFunction) -> BuiltinImpl:
     """The generalized von Mangoldt function Lambda_f, supported on prime powers."""
+    m = MangoldtOf(fn)
     return BuiltinImpl(
-        name, False, lambda limit, sieve: tabulate_prime_power(fn, limit), lambda n: prime_power_at(fn, n)
+        name, False, lambda limit, sieve: tabulate_prime_power(fn, limit), lambda n: mangoldt_eval(m, n)
     )
 
 
@@ -586,12 +614,6 @@ def _convolve_padded(a: list, b: list, limit: int) -> list:
     return out
 
 
-def _pointwise(op: str, a: list, b: list) -> list:
-    if op == "mul":
-        return [x * y for x, y in zip(a, b)]
-    return [x + y for x, y in zip(a, b)]
-
-
 def _tab(expr: Expr, limit: int, sieve: Optional[SieveTable], cache: dict) -> list:
     if isinstance(expr, Builtin):
         impl = resolve_builtin(expr.name)
@@ -602,18 +624,14 @@ def _tab(expr: Expr, limit: int, sieve: Optional[SieveTable], cache: dict) -> li
         vals = impl.tabulate(limit, sieve)
         cache[key] = vals
         return vals
-    if isinstance(expr, Conv):
-        return _convolve_padded(
-            _tab(expr.left, limit, sieve, cache), _tab(expr.right, limit, sieve, cache), limit
-        )
-    if isinstance(expr, Mul):
-        return _pointwise(
-            "mul", _tab(expr.left, limit, sieve, cache), _tab(expr.right, limit, sieve, cache)
-        )
-    if isinstance(expr, Add):
-        return _pointwise(
-            "add", _tab(expr.left, limit, sieve, cache), _tab(expr.right, limit, sieve, cache)
-        )
+    if isinstance(expr, (Conv, Mul, Add)):
+        a = _tab(expr.left, limit, sieve, cache)
+        b = _tab(expr.right, limit, sieve, cache)
+        if isinstance(expr, Conv):
+            return _convolve_padded(a, b, limit)
+        if isinstance(expr, Mul):
+            return [x * y for x, y in zip(a, b)]
+        return [x + y for x, y in zip(a, b)]
     if isinstance(expr, Scale):
         c = expr.coeff
         return [c * v for v in _tab(expr.child, limit, sieve, cache)]
@@ -656,7 +674,9 @@ def evaluate_at(expr: Expr, n: int) -> Fraction:
     if isinstance(expr, Conv):
         total = Fraction(0)
         for d in divisors(n):
-            total += evaluate_at(expr.left, d) * evaluate_at(expr.right, n // d)
+            av = evaluate_at(expr.left, d)
+            if av:
+                total += av * evaluate_at(expr.right, n // d)
         return total
     if isinstance(expr, Mul):
         return evaluate_at(expr.left, n) * evaluate_at(expr.right, n)
@@ -671,35 +691,30 @@ def evaluate_at(expr: Expr, n: int) -> Fraction:
 
 def convolve_at(a_expr: Expr, b_expr: Expr, n: int) -> Fraction:
     """(a * b)(n) by direct divisor enumeration; cross-checks dirichlet_convolve."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    for d in divisors(n):
-        av = evaluate_at(a_expr, d)
-        if av:
-            total += av * evaluate_at(b_expr, n // d)
-    return total
+    return evaluate_at(Conv(a_expr, b_expr), n)
 
 
-def dirichlet_inverse(a: TabulatedFunction, sieve: Optional[SieveTable] = None) -> TabulatedFunction:
+def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
     """The Dirichlet inverse on [1, limit]: (a * inverse)(n) = eps(n)."""
-    if a[1] == 0:
+    av = a._vals
+    a1 = av[1]
+    if a1 == 0:
         raise ValueError("not invertible: value at 1 is 0")
     limit = a.limit
-    if sieve is None and limit >= 2:
-        sieve = build_sieve(limit)
-    av = a._vals
-    inv1 = 1 / Fraction(av[1])
+    inv1 = a1 if a1 in (1, -1) else 1 / Fraction(a1)  # an int table stays int
+    # Harmonic loop: out[n] collects a(d) out[n/d] over d | n, d > 1, from the
+    # smaller n/d before the loop reaches n; then out[n] = -out[n]/a(1).
     out: list = [0] * (limit + 1)
     out[1] = inv1
-    for n in range(2, limit + 1):
-        acc = Fraction(0)
-        for d in divisors(n, sieve):
-            if d > 1:
-                ad = av[d]
-                if ad != 0:
-                    acc += ad * out[n // d]
-        out[n] = -inv1 * acc
+    for n in range(1, limit + 1):
+        if n > 1:
+            out[n] = -inv1 * out[n]
+        v = out[n]
+        if v == 0:
+            continue
+        for d in range(2, limit // n + 1):
+            if av[d] != 0:
+                out[n * d] += av[d] * v
     return TabulatedFunction(limit, out)
 
 
@@ -767,37 +782,143 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
-CheckerResult = Optional[tuple[int, Fraction, Fraction, str]]
+# ---------------------------------------------------------------------------
+# Identity catalog
+# ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityPreset:
-    name: str
-    description: str
-    cases: Optional[tuple[tuple[Expr, Expr, str], ...]]
-    checker: Optional[Callable[[int, Optional[SieveTable], int], CheckerResult]] = None
+def _over(lhs: str, rhs: str, *gs: str) -> tuple[tuple[str, str], ...]:
+    """One (lhs, rhs) case per g, with "{g}" in both templates replaced by g."""
+    return tuple((lhs.format(g=g), rhs.format(g=g)) for g in gs)
 
 
-_IDENTITY_PRESETS: dict[str, IdentityPreset] = {}
+def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, TabulatedFunction, str]]:
+    # Completely multiplicative h distributes over convolution:
+    # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables.
+    rng = random.Random(seed)
+    u = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
+    v = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
+    conv_uv = _convolve_padded(u, v, limit)
+    lhs = [n * conv_uv[n] for n in range(limit + 1)]
+    hu = [n * u[n] for n in range(limit + 1)]
+    hv = [n * v[n] for n in range(limit + 1)]
+    rhs = _convolve_padded(hu, hv, limit)
+    label = "id . (u * v) = (id . u) * (id . v)"
+    yield TabulatedFunction(limit, lhs), TabulatedFunction(limit, rhs), label
 
 
-def register_identity(
-    name: str,
-    description: str,
-    cases: Optional[Sequence[tuple[str, str]]] = None,
-    checker: Optional[Callable[[int, Optional[SieveTable], int], CheckerResult]] = None,
-) -> None:
-    parsed = None
-    if cases is not None:
-        parsed = tuple(
-            (parse_expression(lhs), parse_expression(rhs), f"{lhs} = {rhs}") for lhs, rhs in cases
-        )
-    _IDENTITY_PRESETS[name] = IdentityPreset(name, description, parsed, checker)
+# name -> (formula, cases), in listing order.  cases is a tuple of (lhs, rhs)
+# expression pairs, or for a seeded preset a function (limit, seed) that
+# yields (lhs table, rhs table, label).
+_IDENTITIES: dict = {
+    "thm2.2": (
+        "f * g = (f/h).(h * g) - h * (f.g/h), with f = delta, h = id, "
+        "for g in {one, id, mu.id, phi.id}",
+        _over(
+            "delta * ({g})",
+            "(delta . id_-1) . (id * ({g})) - id * (delta . ({g}) . id_-1)",
+            "one", "id", "mu . id", "phi . id",
+        ),
+    ),
+    "cor2.1": (
+        "f * (mu.h) = -(h * (mu.f)) for f = delta, h = id",
+        (("delta * (mu . id)", "-(id * (mu . delta))"),),
+    ),
+    "cor2.2": (
+        "delta * g = (delta/id).(id * g) - id * (g.delta/id) for g in {one, id, id_2}",
+        _over(
+            "delta * ({g})",
+            "(delta . id_-1) . (id * ({g})) - id * (({g}) . delta . id_-1)",
+            "one", "id", "id_2",
+        ),
+    ),
+    "eq13": ("id * delta = 1/2 . tau . delta", (("id * delta", "1/2 . (tau . delta)"),)),
+    "eq14": (
+        "sigma * delta = 1/2 . (one * (tau . delta))",
+        (("sigma * delta", "1/2 . (one * (tau . delta))"),),
+    ),
+    "eq15": (
+        "delta = 1/2 . ((id . mu) * (tau . delta))",
+        (("delta", "1/2 . ((id . mu) * (tau . delta))"),),
+    ),
+    "eq16": (
+        "id * (id . delta) = sigma . delta - id_2 * delta",
+        (("id * (id . delta)", "sigma . delta - id_2 * delta"),),
+    ),
+    "cor2.6": (
+        "(id . mu) * delta = -(id * (mu . delta))",
+        (("(id . mu) * delta", "-(id * (mu . delta))"),),
+    ),
+    "cor2.7": (
+        "(id . phi) * delta = id . delta - id * (phi . delta)",
+        (("(id . phi) * delta", "id . delta - id * (phi . delta)"),),
+    ),
+    "eq19": (
+        "f * g = f.(one * g) - one * (f.g) for completely additive f = ld, "
+        "g in {one, id, tau}",
+        _over("ld * ({g})", "ld . (one * ({g})) - one * (ld . ({g}))", "one", "id", "tau"),
+    ),
+    "eq20": (
+        "ld * f = ld.(one * f) - one * (ld.f) for f in {one, id}",
+        _over("ld * ({g})", "ld . (one * ({g})) - one * (ld . ({g}))", "one", "id"),
+    ),
+    "eq21": (
+        "delta * (id.f) = delta.(one * f) - id * (f.delta) for f in {one, id, id_2}",
+        _over(
+            "delta * (id . ({g}))",
+            "delta . (one * ({g})) - id * (({g}) . delta)",
+            "one", "id", "id_2",
+        ),
+    ),
+    "compadd-distr": (
+        "completely additive f distributes: f.(u * v) = (f.u) * v + u * (f.v), "
+        "with f = ld, u = one, v = id",
+        (("ld . (one * id)", "(ld . one) * id + one * (ld . id)"),),
+    ),
+    "compmult-distr": (
+        "completely multiplicative h distributes: h.(u * v) = (h.u) * (h.v), "
+        "with h = id on seeded random rational tables",
+        _compmult_cases,
+    ),
+    # The generalized von Mangoldt function Lambda_f (MangoldtOf above).
+    "thm3.1": (
+        "f = h * (h . mangoldt:f) for f in {delta, ld}",
+        (("delta", "id * (id . mangoldt:delta)"), ("ld", "one * (one . mangoldt:ld)")),
+    ),
+    "thm3.2": (
+        "mangoldt:f = mu * (f/h) = -(one * (mu . f/h)) for f in {delta, ld}",
+        (
+            ("mangoldt:delta", "mu * (delta . id_-1)"),
+            ("mangoldt:delta", "-(one * (mu . delta . id_-1))"),
+            ("mangoldt:ld", "mu * ld"),
+            ("mangoldt:ld", "-(one * (mu . ld))"),
+        ),
+    ),
+    "eq23": (
+        "tau * mangoldt:f = 1/2 . (f . tau / h) for f in {delta, ld}",
+        (
+            ("tau * mangoldt:delta", "1/2 . (tau . delta . id_-1)"),
+            ("tau * mangoldt:ld", "1/2 . (tau . ld)"),
+        ),
+    ),
+    "cor3.8": (
+        "completely additive f recovers from its prime-power values: ld = one * mangoldt:ld",
+        (("ld", "one * mangoldt:ld"),),
+    ),
+    "cor3.9": (
+        "mangoldt:ld = mu * ld = -(one * (mu . ld))",
+        (("mangoldt:ld", "mu * ld"), ("mangoldt:ld", "-(one * (mu . ld))")),
+    ),
+    "delta-from-lambda": (
+        "delta = id * (id . mangoldt:ld)",
+        (("delta", "id * (id . mangoldt:ld)"),),
+    ),
+}
 
 
 def list_identity_presets() -> list[tuple[str, str]]:
-    """Registered identity names with their defining formulas, in registration order."""
-    return [(p.name, p.description) for p in _IDENTITY_PRESETS.values()]
+    """Identity names with their defining formulas, in catalog order."""
+    return [(name, formula) for name, (formula, _) in _IDENTITIES.items()]
 
 
 def verify_identity(
@@ -809,176 +930,31 @@ def verify_identity(
     cache: Optional[dict] = None,
 ) -> VerificationReport:
     """Tabulate both sides of a preset and compare exactly on [1, limit]."""
-    preset = _IDENTITY_PRESETS.get(name)
-    if preset is None:
+    if name not in _IDENTITIES:
         raise UnknownNameError(name)
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t0 = time.perf_counter()
     cache = cache if cache is not None else {}
-    failure: CheckerResult = None
-    if preset.checker is not None:
-        failure = preset.checker(limit, sieve, seed)
+
+    def tab(text: str) -> TabulatedFunction:
+        return tabulate(parse_expression(text), limit, sieve, cache)
+
+    cases = _IDENTITIES[name][1]
+    if callable(cases):
+        sides = cases(limit, seed)
     else:
-        assert preset.cases is not None
-        for lhs_e, rhs_e, label in preset.cases:
-            lhs_t = tabulate(lhs_e, limit, sieve, cache)
-            rhs_t = tabulate(rhs_e, limit, sieve, cache)
-            hit = first_mismatch(lhs_t, rhs_t)
-            if hit is not None:
-                failure = (*hit, label)
-                break
-    elapsed = time.perf_counter() - t0
-    if failure is None:
-        return VerificationReport(name, limit, True, None, None, None, None, elapsed)
-    n, lv, rv, label = failure
-    return VerificationReport(name, limit, False, n, lv, rv, label, elapsed)
+        sides = ((tab(lhs), tab(rhs), f"{lhs} = {rhs}") for lhs, rhs in cases)
+    for lhs_t, rhs_t, label in sides:
+        hit = first_mismatch(lhs_t, rhs_t)
+        if hit is not None:
+            n, lv, rv = hit
+            return VerificationReport(name, limit, False, n, lv, rv, label, time.perf_counter() - t0)
+    return VerificationReport(name, limit, True, None, None, None, None, time.perf_counter() - t0)
 
 
 def verify_all(limit: int, *, seed: int = 0) -> list[VerificationReport]:
-    """Run every registered identity preset with a shared sieve and builtin cache."""
+    """Run every identity preset with a shared sieve and builtin cache."""
     sieve = build_sieve(max(limit, 2))
     cache: dict = {}
-    return [
-        verify_identity(name, limit, seed=seed, sieve=sieve, cache=cache)
-        for name in _IDENTITY_PRESETS
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Preset catalog: convolution-layer identities
-# ---------------------------------------------------------------------------
-
-
-def _compmult_checker(limit: int, sieve: Optional[SieveTable], seed: int) -> CheckerResult:
-    # Completely multiplicative h distributes over convolution:
-    # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables.
-    rng = random.Random(seed)
-    u = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
-    v = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
-    conv_uv = _convolve_padded(u, v, limit)
-    lhs = [n * conv_uv[n] for n in range(limit + 1)]
-    hu = [n * u[n] for n in range(limit + 1)]
-    hv = [n * v[n] for n in range(limit + 1)]
-    rhs = _convolve_padded(hu, hv, limit)
-    for n in range(1, limit + 1):
-        if lhs[n] != rhs[n]:
-            return n, Fraction(lhs[n]), Fraction(rhs[n]), "id . (u * v) = (id . u) * (id . v)"
-    return None
-
-
-def _register_catalog() -> None:
-    half_tau_delta = "1/2 . (tau . delta)"
-
-    thm22_cases = []
-    for g in ("one", "id", "mu . id", "phi . id"):
-        thm22_cases.append(
-            (
-                f"delta * ({g})",
-                f"(delta . id_-1) . (id * ({g})) - id * (delta . ({g}) . id_-1)",
-            )
-        )
-    register_identity(
-        "thm2.2",
-        "f * g = (f/h).(h * g) - h * (f.g/h), with f = delta, h = id, "
-        "for g in {one, id, mu.id, phi.id}",
-        thm22_cases,
-    )
-
-    register_identity(
-        "cor2.1",
-        "f * (mu.h) = -(h * (mu.f)) for f = delta, h = id",
-        [("delta * (mu . id)", "-(id * (mu . delta))")],
-    )
-
-    cor22_cases = []
-    for g in ("one", "id", "id_2"):
-        cor22_cases.append(
-            (
-                f"delta * ({g})",
-                f"(delta . id_-1) . (id * ({g})) - id * (({g}) . delta . id_-1)",
-            )
-        )
-    register_identity(
-        "cor2.2",
-        "delta * g = (delta/id).(id * g) - id * (g.delta/id) for g in {one, id, id_2}",
-        cor22_cases,
-    )
-
-    register_identity("eq13", "id * delta = 1/2 . tau . delta", [("id * delta", half_tau_delta)])
-    register_identity(
-        "eq14",
-        "sigma * delta = 1/2 . (one * (tau . delta))",
-        [("sigma * delta", "1/2 . (one * (tau . delta))")],
-    )
-    register_identity(
-        "eq15",
-        "delta = 1/2 . ((id . mu) * (tau . delta))",
-        [("delta", "1/2 . ((id . mu) * (tau . delta))")],
-    )
-    register_identity(
-        "eq16",
-        "id * (id . delta) = sigma . delta - id_2 * delta",
-        [("id * (id . delta)", "sigma . delta - id_2 * delta")],
-    )
-    register_identity(
-        "cor2.6",
-        "(id . mu) * delta = -(id * (mu . delta))",
-        [("(id . mu) * delta", "-(id * (mu . delta))")],
-    )
-    register_identity(
-        "cor2.7",
-        "(id . phi) * delta = id . delta - id * (phi . delta)",
-        [("(id . phi) * delta", "id . delta - id * (phi . delta)")],
-    )
-
-    eq19_cases = []
-    for g in ("one", "id", "tau"):
-        eq19_cases.append(
-            (f"ld * ({g})", f"ld . (one * ({g})) - one * (ld . ({g}))")
-        )
-    register_identity(
-        "eq19",
-        "f * g = f.(one * g) - one * (f.g) for completely additive f = ld, "
-        "g in {one, id, tau}",
-        eq19_cases,
-    )
-
-    eq20_cases = []
-    for g in ("one", "id"):
-        eq20_cases.append(
-            (f"ld * ({g})", f"ld . (one * ({g})) - one * (ld . ({g}))")
-        )
-    register_identity(
-        "eq20",
-        "ld * f = ld.(one * f) - one * (ld.f) for f in {one, id}",
-        eq20_cases,
-    )
-
-    eq21_cases = []
-    for g in ("one", "id", "id_2"):
-        eq21_cases.append(
-            (f"delta * (id . ({g}))", f"delta . (one * ({g})) - id * (({g}) . delta)")
-        )
-    register_identity(
-        "eq21",
-        "delta * (id.f) = delta.(one * f) - id * (f.delta) for f in {one, id, id_2}",
-        eq21_cases,
-    )
-
-    register_identity(
-        "compadd-distr",
-        "completely additive f distributes: f.(u * v) = (f.u) * v + u * (f.v), "
-        "with f = ld, u = one, v = id",
-        [("ld . (one * id)", "(ld . one) * id + one * (ld . id)")],
-    )
-
-    register_identity(
-        "compmult-distr",
-        "completely multiplicative h distributes: h.(u * v) = (h.u) * (h.v), "
-        "with h = id on seeded random rational tables",
-        checker=_compmult_checker,
-    )
-
-
-_register_catalog()
+    return [verify_identity(name, limit, seed=seed, sieve=sieve, cache=cache) for name in _IDENTITIES]

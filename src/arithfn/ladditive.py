@@ -12,6 +12,7 @@ lives in the float-based series module, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -30,22 +31,29 @@ Rational = Union[int, Fraction]
 DefaultRule = Union[int, Fraction, str]  # "identity" | "reciprocal" | constant
 
 
+def as_exact(v: Rational) -> Rational:
+    """v as an int when it is integral, else as a Fraction; floats and other types are rejected."""
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"prime values must be exact rationals (int or Fraction), got {v!r}")
+
+
 @dataclass(frozen=True)
 class LAdditiveFunction:
     """An L-additive function given by its prime values f(p) and h(p)."""
 
     name: str
-    f_at_prime: Callable[[int], Fraction]
-    h_at_prime: Callable[[int], Fraction]
+    f_at_prime: Callable[[int], Rational]
+    h_at_prime: Callable[[int], Rational]
 
-    def f_value(self, p: int) -> Fraction:
-        return Fraction(self.f_at_prime(p))
-
-    def h_value(self, p: int) -> Fraction:
-        v = Fraction(self.h_at_prime(p))
-        if v == 0:
+    def at_prime(self, p: int) -> tuple[Rational, Rational]:
+        """(f(p), h(p)), each an int when it is integral; h(p) must be nonzero."""
+        h = as_exact(self.h_at_prime(p))
+        if h == 0:
             raise ValueError(f"h_{self.name}({p}) = 0; h must be nonzero-valued")
-        return v
+        return as_exact(self.f_at_prime(p)), h
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LAdditiveFunction({self.name!r})"
@@ -53,37 +61,33 @@ class LAdditiveFunction:
 
 def delta() -> LAdditiveFunction:
     """The arithmetic derivative: f(p) = 1 with h(p) = p."""
-    return LAdditiveFunction("delta", lambda p: Fraction(1), lambda p: Fraction(p))
+    return LAdditiveFunction("delta", lambda p: 1, lambda p: p)
 
 
 def delta_partial(p0: int) -> LAdditiveFunction:
     """Partial arithmetic derivative with respect to the prime p0."""
     if not is_prime(p0):
         raise ValueError(f"delta_partial requires a prime, got {p0}")
-    return LAdditiveFunction(
-        f"delta_p:{p0}",
-        lambda p: Fraction(1 if p == p0 else 0),
-        lambda p: Fraction(p),
-    )
+    return LAdditiveFunction(f"delta_p:{p0}", lambda p: 1 if p == p0 else 0, lambda p: p)
 
 
 def ld() -> LAdditiveFunction:
     """The logarithmic derivative delta(n)/n: completely additive, h = 1."""
-    return LAdditiveFunction("ld", lambda p: Fraction(1, p), lambda p: Fraction(1))
+    return LAdditiveFunction("ld", lambda p: Fraction(1, p), lambda p: 1)
 
 
 def big_omega() -> LAdditiveFunction:
     """Prime factor count with multiplicity: completely additive, h = 1."""
-    return LAdditiveFunction("big_omega", lambda p: Fraction(1), lambda p: Fraction(1))
+    return LAdditiveFunction("big_omega", lambda p: 1, lambda p: 1)
 
 
-def _rule_to_callable(rule: DefaultRule, role: str) -> Callable[[int], Fraction]:
+def _rule_to_callable(rule: DefaultRule, role: str) -> Callable[[int], Rational]:
     if rule == "identity":
-        return lambda p: Fraction(p)
+        return lambda p: p
     if rule == "reciprocal":
         return lambda p: Fraction(1, p)
     if isinstance(rule, (int, Fraction)):
-        c = Fraction(rule)
+        c = as_exact(rule)
         return lambda p: c
     raise ValueError(f"{role} default rule must be a rational constant, 'identity', or 'reciprocal'")
 
@@ -97,8 +101,8 @@ def custom(
     h_default: DefaultRule = 1,
 ) -> LAdditiveFunction:
     """User-defined function: finitely many explicit prime values plus default rules."""
-    f_map = {p: Fraction(v) for p, v in (f_at_prime or {}).items()}
-    h_map = {p: Fraction(v) for p, v in (h_at_prime or {}).items()}
+    f_map = {p: as_exact(v) for p, v in (f_at_prime or {}).items()}
+    h_map = {p: as_exact(v) for p, v in (h_at_prime or {}).items()}
     for m in (f_map, h_map):
         for p in m:
             if not is_prime(p):
@@ -111,10 +115,10 @@ def custom(
     f_rule = _rule_to_callable(f_default, "f")
     h_rule = _rule_to_callable(h_default, "h")
 
-    def f(p: int) -> Fraction:
+    def f(p: int) -> Rational:
         return f_map[p] if p in f_map else f_rule(p)
 
-    def h(p: int) -> Fraction:
+    def h(p: int) -> Rational:
         return h_map[p] if p in h_map else h_rule(p)
 
     return LAdditiveFunction(name, f, h)
@@ -136,32 +140,42 @@ def l_additive_by_token(token: str) -> LAdditiveFunction:
     raise UnknownNameError(token)
 
 
-def eval_natural(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
-    """f(n) = h(n) * sum(a_i * f(p_i)/h(p_i)) over the factorization of n."""
+def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tuple[Rational, Rational]:
+    """(f(n), h(n)) in one division-free pass over the factorization of n.
+
+    Each prime power contributes f(p**a) = a f(p) h(p)**(a-1) and h(p)**a, and
+    the factors combine by f(mk) = f(m)h(k) + f(k)h(m), so int prime values
+    stay ints.
+    """
     if n < 1:
         raise ValueError("eval_natural requires n >= 1")
-    h_n = Fraction(1)
-    total = Fraction(0)
+    f_n, h_n = 0, 1
     for p, a in factorize(n, sieve):
-        hp = fn.h_value(p)
-        h_n *= hp**a
-        total += a * fn.f_value(p) / hp
-    return h_n * total
+        fp, hp = fn.at_prime(p)
+        h_a1 = hp ** (a - 1)
+        f_pa = a * fp * h_a1
+        h_pa = h_a1 * hp
+        f_n = f_n * h_pa + f_pa * h_n
+        h_n *= h_pa
+    return f_n, h_n
+
+
+def eval_natural(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
+    """f(n) = h(n) * sum(a_i * f(p_i)/h(p_i)) over the factorization of n."""
+    return Fraction(_leibniz(fn, n, sieve)[0])
 
 
 def h_eval(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """The completely multiplicative companion: h(n) = prod h(p_i)**a_i, h(1) = 1."""
     if n < 1:
         raise ValueError("h_eval requires n >= 1")
-    h_n = Fraction(1)
-    for p, a in factorize(n, sieve):
-        h_n *= fn.h_value(p) ** a
-    return h_n
+    return Fraction(math.prod(fn.at_prime(p)[1] ** a for p, a in factorize(n, sieve)))
 
 
 def eval_inverse(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(1/n) = -f(n) / h(n)**2."""
-    return -eval_natural(fn, n, sieve) / h_eval(fn, n, sieve) ** 2
+    f_n, h_n = _leibniz(fn, n, sieve)
+    return Fraction(-f_n, h_n * h_n)
 
 
 def eval_rational(
@@ -173,11 +187,9 @@ def eval_rational(
     """f(n/m) = (f(n)h(m) - f(m)h(n)) / h(m)**2; agrees with eval_natural at m = 1."""
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be >= 1")
-    f_n = eval_natural(fn, numerator, sieve)
-    f_m = eval_natural(fn, denominator, sieve)
-    h_n = h_eval(fn, numerator, sieve)
-    h_m = h_eval(fn, denominator, sieve)
-    return (f_n * h_m - f_m * h_n) / h_m**2
+    f_n, h_n = _leibniz(fn, numerator, sieve)
+    f_m, h_m = _leibniz(fn, denominator, sieve)
+    return Fraction(f_n * h_m - f_m * h_n, h_m * h_m)
 
 
 def eval_signed(fn: LAdditiveFunction, sf: SignedFactorization) -> Fraction:
@@ -188,15 +200,16 @@ def eval_signed(fn: LAdditiveFunction, sf: SignedFactorization) -> Fraction:
     h_x = Fraction(1)
     total = Fraction(0)
     for p, e in sf:
-        hp = fn.h_value(p)
+        fp, hp = map(Fraction, fn.at_prime(p))
         h_x *= hp**e
-        total += e * fn.f_value(p) / hp
+        total += e * fp / hp
     return h_x * total
 
 
 def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(n)/h(n), which is completely additive whenever h never vanishes."""
-    return eval_natural(fn, n, sieve) / h_eval(fn, n, sieve)
+    f_n, h_n = _leibniz(fn, n, sieve)
+    return Fraction(f_n, h_n)
 
 
 def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> list:
@@ -216,11 +229,9 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
     for n in range(2, limit + 1):
         p = spf[n]
         if p == n:
-            # Integral prime values stay ints, so integral functions tabulate
-            # in int arithmetic rather than Fraction arithmetic.
-            pair = tuple(v.numerator if v.denominator == 1 else v for v in (fn.f_value(n), fn.h_value(n)))
-            prime_pair[n] = pair
-            f[n], h[n] = pair
+            # at_prime keeps integral values as ints, so integral functions
+            # tabulate in int arithmetic rather than Fraction arithmetic.
+            f[n], h[n] = prime_pair[n] = fn.at_prime(n)
             continue
         fp, hp = prime_pair[p]
         m = n // p

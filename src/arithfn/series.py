@@ -263,104 +263,61 @@ def classical_mangoldt_tabulate(limit: int) -> np.ndarray:
 # Series identity presets
 # ---------------------------------------------------------------------------
 
-# rhs callback signature: (s, zeta_at, F_at, k) -> complex, where zeta_at and
-# F_at evaluate at shifted arguments and the preset owns the shift pattern.
-RhsFn = Callable[[complex, Callable[[complex], complex], Callable[[complex], complex], Optional[int]], complex]
-
-
-@dataclass(frozen=True)
-class SeriesPreset:
-    name: str
-    description: str
-    min_re: float  # requires Re(s) > min_re
-    coeff: Callable[[Optional[int]], str]  # expression text for the coefficients
-    rhs: RhsFn
-    parametric: bool = False
-
-
-def _fixed(text: str) -> Callable[[Optional[int]], str]:
-    return lambda k: text
-
-
-_SERIES_PRESETS: dict[str, SeriesPreset] = {}
-
-
-def _register(preset: SeriesPreset) -> None:
-    _SERIES_PRESETS[preset.name] = preset
-
-
-_register(
-    SeriesPreset(
-        "lemma-Fld",
+# name -> (formula, min_re, coefficients, closed form).  Each preset is checked
+# for Re(s) > min_re; the coefficients are an expression text, and the closed
+# form (s, zeta_at, F_at, k) -> complex evaluates zeta and F at shifted
+# arguments.  A "{k}" in the coefficients takes the power k >= 0 and moves the
+# half-plane to Re(s) > min_re + k.
+_SERIES_PRESETS: dict = {
+    "lemma-Fld": (
         "sum mangoldt:ld(n)/n^s = F(s); checked for Re(s) > 1",
         1.0,
-        _fixed("mangoldt:ld"),
+        "mangoldt:ld",
         lambda s, zeta_at, F_at, k: F_at(s),
-    )
-)
-_register(
-    SeriesPreset(
-        "thm3.3",
+    ),
+    "thm3.3": (
         "sum delta(n)/n^s = zeta(s-1) F(s-1); Re(s) > 2",
         2.0,
-        _fixed("delta"),
+        "delta",
         lambda s, zeta_at, F_at, k: zeta_at(s - 1) * F_at(s - 1),
-    )
-)
-_register(
-    SeriesPreset(
-        "cor-tau",
+    ),
+    "cor-tau": (
         "sum tau(n) delta(n)/n^s = 2 zeta(s-1)^2 F(s-1); Re(s) > 2",
         2.0,
-        _fixed("tau . delta"),
+        "tau . delta",
         lambda s, zeta_at, F_at, k: 2 * zeta_at(s - 1) ** 2 * F_at(s - 1),
-    )
-)
-_register(
-    SeriesPreset(
-        "cor-mu",
+    ),
+    "cor-mu": (
         "sum mu(n) delta(n)/n^s = -F(s-1) / zeta(s-1); Re(s) > 2",
         2.0,
-        _fixed("mu . delta"),
+        "mu . delta",
         lambda s, zeta_at, F_at, k: -F_at(s - 1) / zeta_at(s - 1),
-    )
-)
-_register(
-    SeriesPreset(
-        "cor-phi",
+    ),
+    "cor-phi": (
         "sum phi(n) delta(n)/n^s = zeta(s-2)/zeta(s-1) (F(s-2) - F(s-1)); Re(s) > 3",
         3.0,
-        _fixed("phi . delta"),
+        "phi . delta",
         lambda s, zeta_at, F_at, k: zeta_at(s - 2) / zeta_at(s - 1) * (F_at(s - 2) - F_at(s - 1)),
-    )
-)
-_register(
-    SeriesPreset(
-        "cor-sigma",
+    ),
+    "cor-sigma": (
         "sum sigma(n) delta(n)/n^s = zeta(s-1) zeta(s-2) (F(s-2) + F(s-1)); Re(s) > 3",
         3.0,
-        _fixed("sigma . delta"),
+        "sigma . delta",
         lambda s, zeta_at, F_at, k: zeta_at(s - 1) * zeta_at(s - 2) * (F_at(s - 2) + F_at(s - 1)),
-    )
-)
-_register(
-    SeriesPreset(
-        "cor-sigmak",
+    ),
+    "cor-sigmak": (
         "sum sigma_k(n) delta(n)/n^s = zeta(s-1) zeta(s-k-1) (F(s-1) + F(s-k-1)); "
         "Re(s) > k+2 (k defaults to 2)",
-        -1.0,  # depends on k; computed at check time
-        lambda k: f"sigma_{k} . delta",
-        lambda s, zeta_at, F_at, k: zeta_at(s - 1)
-        * zeta_at(s - k - 1)
-        * (F_at(s - 1) + F_at(s - k - 1)),
-        parametric=True,
-    )
-)
+        2.0,
+        "sigma_{k} . delta",
+        lambda s, zeta_at, F_at, k: zeta_at(s - 1) * zeta_at(s - k - 1) * (F_at(s - 1) + F_at(s - k - 1)),
+    ),
+}
 
 
 def list_series_presets() -> list[tuple[str, str]]:
-    """Registered series preset names with their formulas, in registration order."""
-    return [(p.name, p.description) for p in _SERIES_PRESETS.values()]
+    """Series preset names with their formulas, in catalog order."""
+    return [(name, preset[0]) for name, preset in _SERIES_PRESETS.items()]
 
 
 @dataclass
@@ -440,15 +397,18 @@ def check_series_identity(
         raise ValueError("prime_limit must be >= 2")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if preset.parametric and k < 0:
-        raise ValueError("k must be >= 0")
+    _, min_re, coeff, closed_form = preset
+    if "{k}" in coeff:
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        min_re += k
+        coeff = coeff.format(k=k)
     z = _as_finite_complex(s)
-    min_re = float(k + 2) if preset.parametric else preset.min_re
     if z.real <= min_re:
         raise OutOfDomainError(
             f"{name} is checked for Re(s) > {min_re}, got Re(s) = {z.real}"
         )
-    expr = parse_expression(preset.coeff(k if preset.parametric else None))
+    expr = parse_expression(coeff)
     coeff_tab = tabulate(expr, limit, sieve, cache)
     lhs = dirichlet_partial_sum(coeff_tab, z).value
 
@@ -461,7 +421,7 @@ def check_series_identity(
     def F_at(arg: complex) -> complex:
         return prime_F(arg, prime_limit, primes).value
 
-    rhs = preset.rhs(z, zeta_at, F_at, k if preset.parametric else None)
+    rhs = closed_form(z, zeta_at, F_at, k)
     abs_error = abs(lhs - rhs)
     return SeriesCheckReport(
         name=name,

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from arithfn import (
     verify_all,
     verify_identity,
 )
+from arithfn import convolution
 from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
@@ -280,6 +282,14 @@ class TestDirichletInverse:
         a = TabulatedFunction.from_values(vals)
         assert dirichlet_convolve(a, dirichlet_inverse(a)) == tab("eps", 200)
 
+    def test_int_table_stays_int(self):
+        for text in ("one", "-(mu . id)", "-tau"):
+            a = tab(text, 500)
+            inv = dirichlet_inverse(a)
+            assert all(type(v) is int for v in inv.values()), text
+            assert dirichlet_convolve(a, inv) == tab("eps", 500)
+            assert inv.to_json() == TabulatedFunction.from_values(map(Fraction, inv.values())).to_json()
+
     def test_not_invertible(self):
         with pytest.raises(ValueError):
             dirichlet_inverse(tab("delta", 10))  # delta(1) = 0
@@ -330,14 +340,29 @@ class TestVerifier:
             assert verify_identity("compmult-distr", 300, seed=seed).holds
 
     def test_catalog_contents(self):
-        names = {name for name, _ in list_identity_presets()}
-        expected = {
+        names = [name for name, _ in list_identity_presets()]
+        assert names == [
             "thm2.2", "cor2.1", "cor2.2", "eq13", "eq14", "eq15", "eq16",
             "cor2.6", "cor2.7", "eq19", "eq20", "eq21", "compadd-distr",
             "compmult-distr", "thm3.1", "thm3.2", "eq23", "cor3.8", "cor3.9",
             "delta-from-lambda",
-        }
-        assert expected <= names
+        ]
+
+    def test_mismatch_report_names_the_case(self, monkeypatch):
+        tau = convolution._CATALOG["tau"]
+
+        def corrupted_tab(limit, sieve):
+            vals = tau.tabulate(limit, sieve)
+            if limit >= 100:
+                vals[100] += 1
+            return vals
+
+        monkeypatch.setitem(convolution._CATALOG, "tau", dataclasses.replace(tau, tabulate=corrupted_tab))
+        r = verify_identity("eq13", 1000)
+        assert not r.holds
+        assert r.mismatch_n == 100
+        assert r.case == "id * delta = 1/2 . (tau . delta)"
+        assert r.lhs == leibniz_delta(100) * 9 / 2 and r.rhs == leibniz_delta(100) * 10 / 2
 
     def test_report_json_round_trip(self):
         for r in (verify_identity("eq13", 50), _failing_report()):

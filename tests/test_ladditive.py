@@ -98,6 +98,23 @@ class TestHEval:
                     assert h_eval(fn, m * n) == h_eval(fn, m) * h_eval(fn, n)
 
 
+class TestExactResults:
+    def test_public_evaluators_return_fractions(self):
+        for fn in sample_functions():
+            for n in (1, 2, 12, 60, 97):
+                values = [
+                    eval_natural(fn, n),
+                    h_eval(fn, n),
+                    eval_inverse(fn, n),
+                    quotient_ratio(fn, n),
+                    eval_rational(fn, n, 35),
+                    eval_rational(fn, 35, n),
+                    eval_signed(fn, factorize_rational(n, 35)),
+                ]
+                for v in values:
+                    assert type(v) is Fraction, (fn.name, n, v)
+
+
 class TestEvalInverse:
     def test_delta_quarter(self):
         assert eval_inverse(delta(), 4) == Fraction(-1, 4)
@@ -216,10 +233,28 @@ class TestBulkTabulation:
 class TestCustomFunctions:
     def test_defaults(self):
         fn = custom("c", {3: 5}, {3: 7}, f_default=Fraction(1, 2), h_default="reciprocal")
-        assert fn.f_value(3) == 5
-        assert fn.h_value(3) == 7
-        assert fn.f_value(11) == Fraction(1, 2)
-        assert fn.h_value(11) == Fraction(1, 11)
+        assert fn.at_prime(3) == (5, 7)
+        assert fn.at_prime(11) == (Fraction(1, 2), Fraction(1, 11))
+
+    def test_integral_prime_values_are_ints(self):
+        fn = custom("c", {3: Fraction(10, 2)}, {3: 7}, f_default=2, h_default="identity")
+        for p in (3, 11):
+            assert all(type(v) is int for v in fn.at_prime(p))
+        assert type(ld().at_prime(5)[0]) is Fraction
+
+    def test_rejects_float_values(self):
+        # a float would reach the exact layer as its binary expansion
+        with pytest.raises(TypeError):
+            custom("x", {2: 0.1})
+        with pytest.raises(TypeError):
+            custom("x", {}, {3: 2.0})
+        raw = LAdditiveFunction("raw", lambda p: 0.1, lambda p: 1)
+        with pytest.raises(TypeError):
+            raw.at_prime(2)
+        with pytest.raises(TypeError):
+            eval_natural(raw, 12)
+        with pytest.raises(TypeError):
+            eval_natural(LAdditiveFunction("raw", lambda p: 1, lambda p: 0.5), 12)
 
     def test_rejects_zero_h(self):
         with pytest.raises(ValueError):

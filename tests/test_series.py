@@ -295,10 +295,10 @@ class TestCheckSeriesIdentity:
         assert SeriesCheckReport.from_json(r2.to_json()) == r2
 
     def test_catalog(self):
-        names = {name for name, _ in list_series_presets()}
-        assert names == {
+        names = [name for name, _ in list_series_presets()]
+        assert names == [
             "lemma-Fld", "thm3.3", "cor-tau", "cor-mu", "cor-phi", "cor-sigma", "cor-sigmak",
-        }
+        ]
 
 
 class TestSeriesEstimateType:
