@@ -26,7 +26,7 @@ from .convolution import (
     verify_identity,
 )
 from .errors import OutOfDomainError, ParseError, UnknownNameError
-from .factor import factorize, factorize_rational
+from .factor import build_sieve, factorize, factorize_rational
 from .ladditive import eval_natural, eval_rational, l_additive_by_token
 from .series import check_series_identity, list_series_presets
 
@@ -217,8 +217,9 @@ def _cmd_convolve(args) -> int:
                 )
             )
         return 0
-    a = tabulate(expr_a, args.limit)
-    b = tabulate(expr_b, args.limit)
+    sieve = build_sieve(max(args.limit, 2))
+    a = tabulate(expr_a, args.limit, sieve)
+    b = tabulate(expr_b, args.limit, sieve)
     c = dirichlet_convolve(a, b)
     if args.format == "table":
         for n in range(1, c.limit + 1):

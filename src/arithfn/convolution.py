@@ -33,6 +33,7 @@ table pairs.  verify_identity compares every case through first_mismatch.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import random
@@ -46,11 +47,9 @@ from .factor import SieveTable, build_sieve, divisors, factorize, primes_up_to
 from .ladditive import (
     LAdditiveFunction,
     as_exact,
-    big_omega,
     delta,
     eval_natural,
     l_additive_by_token,
-    ld,
     tabulate_l_additive,
 )
 
@@ -196,7 +195,7 @@ class Neg(Expr):
 # operators are left-associative, so right operands render one level stricter.
 def _render(e: Expr, parent: int) -> str:
     if isinstance(e, Builtin):
-        return _display_name(e.name)
+        return _SHORT_NAMES.get(e.name, e.name)
     if isinstance(e, Mul):
         s = f"{_render(e.left, 2)} . {_render(e.right, 3)}"
         level = 2
@@ -222,18 +221,13 @@ def _render(e: Expr, parent: int) -> str:
     return f"({s})" if level < parent else s
 
 
-def _display_name(name: str) -> str:
-    if name == "id_1":
-        return "id"
-    if name == "sigma_1":
-        return "sigma"
-    return name
-
-
 # ---------------------------------------------------------------------------
 # Expression parser
 # ---------------------------------------------------------------------------
 
+# Bounds the parser's recursion (six frames per open parenthesis) and the tree depth
+# that _tab, _render and evaluate_at recurse over, well inside the default limit of 1000.
+_MAX_TOKENS = 128
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_BODY = _NAME_START | set("0123456789")
 
@@ -289,6 +283,8 @@ def _lex(text: str) -> list[tuple[str, object]]:
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r} at position {i}")
+    if len(tokens) > _MAX_TOKENS:
+        raise ParseError(f"expression too long: more than {_MAX_TOKENS} tokens")
     tokens.append(("end", None))
     return tokens
 
@@ -416,21 +412,20 @@ def parse_expression(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class BuiltinImpl:
-    """A builtin name bound to its function class: a sieve tabulator and a point evaluator."""
+    """A builtin's function class: tabulate(limit, sieve) gives the padded values on
+    [1, limit] from a sieve covering limit, at(n) the value at n from its factorization."""
 
-    name: str  # canonical name
-    needs_sieve: bool
-    tabulate: Callable[[int, Optional[SieveTable]], list]
+    tabulate: Callable[[int, SieveTable], list]
     at: Callable[[int], Rational]
 
 
-def _power(name: str, k: int) -> BuiltinImpl:
+def _power(k: int) -> BuiltinImpl:
     """Completely multiplicative id_k(n) = n**k in closed form; one is id_0."""
     at = (lambda n: n**k) if k >= 0 else (lambda n: Fraction(1, n ** (-k)))
-    return BuiltinImpl(name, False, lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at)
+    return BuiltinImpl(lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at)
 
 
-def _multiplicative(name: str, g: Callable[[int, int], int]) -> BuiltinImpl:
+def _multiplicative(g: Callable[[int, int], int]) -> BuiltinImpl:
     """Multiplicative function with value g(p, a) at each prime power p**a."""
 
     def tab(limit: int, sieve: SieveTable) -> list:
@@ -449,7 +444,7 @@ def _multiplicative(name: str, g: Callable[[int, int], int]) -> BuiltinImpl:
             v[n] = v[n // r] * v[r] if r > 1 else g(p, a)
         return v
 
-    return BuiltinImpl(name, True, tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)))
+    return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)))
 
 
 def _tab_delta(limit: int, sieve: SieveTable) -> list:
@@ -466,11 +461,11 @@ def _tab_delta(limit: int, sieve: SieveTable) -> list:
     return v
 
 
-def _leibniz_additive(name: str, fn: LAdditiveFunction, tab=None) -> BuiltinImpl:
+def _leibniz_additive(fn: LAdditiveFunction, tab=None) -> BuiltinImpl:
     """Leibniz-additive f with companion h: tabulate_l_additive and eval_natural."""
     if tab is None:
         tab = lambda limit, sieve: tabulate_l_additive(fn, limit, sieve)  # noqa: E731
-    return BuiltinImpl(name, True, tab, lambda n: eval_natural(fn, n))
+    return BuiltinImpl(tab, lambda n: eval_natural(fn, n))
 
 
 @dataclass(frozen=True)
@@ -492,21 +487,16 @@ def _prime_ratio(fn: LAdditiveFunction, p: int) -> Rational:
     return as_exact(Fraction(f, h))
 
 
-def tabulate_prime_power(fn: LAdditiveFunction, limit: int) -> list:
-    """Padded values of Lambda_f on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0."""
+def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
+    """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0."""
     vals: list = [0] * (limit + 1)
     for p in primes_up_to(limit):
-        v = _prime_ratio(fn, p)
+        v = _prime_ratio(m.base, p)
         q = p
         while q <= limit:
             vals[q] = v
             q *= p
-    return vals
-
-
-def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
-    """Tabulation on [1, limit]; nonzero only at the prime powers."""
-    return TabulatedFunction(limit, tabulate_prime_power(m.base, limit))
+    return TabulatedFunction(limit, vals)
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -519,53 +509,52 @@ def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> 
     return Fraction(_prime_ratio(m.base, fact.factors[0].prime))
 
 
-def _prime_power_supported(name: str, fn: LAdditiveFunction) -> BuiltinImpl:
+def _prime_power_supported(fn: LAdditiveFunction) -> BuiltinImpl:
     """The generalized von Mangoldt function Lambda_f, supported on prime powers."""
     m = MangoldtOf(fn)
-    return BuiltinImpl(
-        name, False, lambda limit, sieve: tabulate_prime_power(fn, limit), lambda n: mangoldt_eval(m, n)
-    )
+    return BuiltinImpl(lambda limit, sieve: mangoldt_tabulate(m, limit)._vals, lambda n: mangoldt_eval(m, n))
+
+
+# Short spellings of canonical builtin names; expressions render the short form.
+_ALIASES = {"id": "id_1", "sigma": "sigma_1"}
+_SHORT_NAMES = {canonical: alias for alias, canonical in _ALIASES.items()}
 
 
 def normalize_builtin_name(name: str) -> str:
-    if name == "id":
-        return "id_1"
-    if name == "sigma":
-        return "sigma_1"
-    return name
+    return _ALIASES.get(name, name)
 
 
 _CATALOG = {
-    "one": _power("one", 0),
-    "eps": _multiplicative("eps", lambda p, a: 0),
-    "mu": _multiplicative("mu", lambda p, a: -1 if a == 1 else 0),
-    "tau": _multiplicative("tau", lambda p, a: a + 1),
-    "phi": _multiplicative("phi", lambda p, a: p ** (a - 1) * (p - 1)),
-    "delta": _leibniz_additive("delta", delta(), _tab_delta),
-    "ld": _leibniz_additive("ld", ld()),
-    "big_omega": _leibniz_additive("big_omega", big_omega()),
+    "one": _power(0),
+    "eps": _multiplicative(lambda p, a: 0),
+    "mu": _multiplicative(lambda p, a: -1 if a == 1 else 0),
+    "tau": _multiplicative(lambda p, a: a + 1),
+    "phi": _multiplicative(lambda p, a: p ** (a - 1) * (p - 1)),
+    "delta": _leibniz_additive(delta(), _tab_delta),
 }
 
 
+# A family member depends only on its name, so resolutions are memoized.
+@functools.lru_cache(maxsize=64)
 def _resolve_family(name: str) -> Optional[BuiltinImpl]:
     if name.startswith("id_"):
         try:
             k = int(name[3:])
         except ValueError:
             return None
-        return _power(name, k)
+        return _power(k)
     if name.startswith("sigma_"):
         if not name[6:].isdigit():
             return None
         k = int(name[6:])
-        return _multiplicative(name, lambda p, a: sum(p ** (j * k) for j in range(a + 1)))
+        return _multiplicative(lambda p, a: sum(p ** (j * k) for j in range(a + 1)))
     prefix, _, token = name.partition(":")
     mangoldt = prefix == "mangoldt"
     try:
         fn = l_additive_by_token(token if mangoldt else name)
     except UnknownNameError:
         return None
-    return _prime_power_supported(name, fn) if mangoldt else _leibniz_additive(name, fn)
+    return _prime_power_supported(fn) if mangoldt else _leibniz_additive(fn)
 
 
 def resolve_builtin(name: str) -> BuiltinImpl:
@@ -579,16 +568,6 @@ def resolve_builtin(name: str) -> BuiltinImpl:
 # ---------------------------------------------------------------------------
 # Tabulation and convolution
 # ---------------------------------------------------------------------------
-
-
-def _needs_sieve(expr: Expr) -> bool:
-    if isinstance(expr, Builtin):
-        return resolve_builtin(expr.name).needs_sieve
-    if isinstance(expr, (Conv, Mul, Add)):
-        return _needs_sieve(expr.left) or _needs_sieve(expr.right)
-    if isinstance(expr, (Scale, Neg)):
-        return _needs_sieve(expr.child)
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _convolve_padded(a: list, b: list, limit: int) -> list:
@@ -614,14 +593,13 @@ def _convolve_padded(a: list, b: list, limit: int) -> list:
     return out
 
 
-def _tab(expr: Expr, limit: int, sieve: Optional[SieveTable], cache: dict) -> list:
+def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> list:
     if isinstance(expr, Builtin):
-        impl = resolve_builtin(expr.name)
-        key = (impl.name, limit)
+        key = (normalize_builtin_name(expr.name), limit)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        vals = impl.tabulate(limit, sieve)
+        vals = resolve_builtin(expr.name).tabulate(limit, sieve)
         cache[key] = vals
         return vals
     if isinstance(expr, (Conv, Mul, Add)):
@@ -649,8 +627,10 @@ def tabulate(
     """Pointwise values of the expression on [1, limit]."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if sieve is None and _needs_sieve(expr):
+    if sieve is None:
         sieve = build_sieve(max(limit, 2))
+    elif sieve.limit < limit:
+        raise ValueError("sieve does not cover the requested limit")
     vals = _tab(expr, limit, sieve, cache if cache is not None else {})
     if isinstance(expr, Builtin):
         vals = list(vals)  # builtin tabulations are cached; never alias the cache

@@ -6,6 +6,7 @@ produced here, so this module sticks to exact integer arithmetic throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,24 +116,20 @@ class SieveTable:
 
 
 def build_sieve(limit: int) -> SieveTable:
-    """Linear (one pass, O(limit)) smallest-prime-factor sieve."""
+    """Smallest-prime-factor table filled from the Eratosthenes pass of primes_up_to.
+
+    Entries start at 2; the odd primes up to sqrt(limit), largest first, overwrite
+    their odd multiples from p*p on, so the least prime factor is written last.
+    """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    spf = [0] * (limit + 1)
-    primes: list[int] = []
-    append = primes.append
-    for i in range(2, limit + 1):
-        si = spf[i]
-        if si == 0:
-            si = spf[i] = i
-            append(i)
-        for p in primes:
-            if p > si:
-                break
-            ip = i * p
-            if ip > limit:
-                break
-            spf[ip] = p
+    spf = [2] * (limit + 1)
+    spf[0] = spf[1] = 0
+    root = math.isqrt(limit)
+    for p in reversed(primes_up_to(limit)):
+        if 2 < p <= root:
+            spf[p * p :: 2 * p] = [p] * ((limit - p * p) // (2 * p) + 1)
+        spf[p] = p
     return SieveTable(limit, spf)
 
 
@@ -199,7 +196,7 @@ def primes_up_to(limit: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def divisors(n: int, sieve: Optional[SieveTable] = None) -> list[int]:

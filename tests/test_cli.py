@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 
+import pytest
+
 from arithfn import convolution
 from arithfn.cli import run
 from arithfn.convolution import VerificationReport
@@ -176,6 +178,24 @@ class TestSeriesCommand:
 
     def test_unknown_preset(self, capsys):
         assert run(["series", "cor-42", "--s", "4"]) == 2
+
+
+class TestDeepExpressions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convolve", "(" * 5000 + "one" + ")" * 5000, "one"],
+            ["convolve", " * ".join(["one"] * 3000), "one", "--limit", "10"],
+            ["convolve", " * ".join(["one"] * 3000), "one", "--at", "12"],
+            ["convolve", " + ".join(["one"] * 3000), "one"],
+        ],
+        ids=["nested-parens", "conv-chain-limit", "conv-chain-at", "sum-chain"],
+    )
+    def test_rejected_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestListIdentities:

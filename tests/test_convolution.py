@@ -107,6 +107,14 @@ class TestParser:
             with pytest.raises(ParseError):
                 parse_expression(bad)
 
+    def test_token_cap(self):
+        cap = convolution._MAX_TOKENS
+        assert cap % 2 == 0
+        chain = " + ".join(["one"] * (cap // 2))  # cap - 1 tokens
+        assert evaluate_at(parse_expression("-" + chain), 6) == cap // 2 - 2
+        with pytest.raises(ParseError):
+            parse_expression("(" + chain + ")")
+
     def test_render_round_trip(self):
         texts = [
             "id * delta",
@@ -164,6 +172,15 @@ class TestTabulate:
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             tab("tau", 0)
+
+    def test_sieve_must_cover_limit(self):
+        short = build_sieve(50)
+        for name in ["tau", "delta", "ld", "one", "mangoldt:ld", "id . mu"]:
+            with pytest.raises(ValueError, match="sieve does not cover"):
+                tabulate(parse_expression(name), 100, short)
+        with pytest.raises(ValueError, match="sieve does not cover"):
+            verify_identity("eq13", 100, sieve=short)
+        assert tabulate(parse_expression("tau"), 50, short) == tab("tau", 50)
 
     def test_unknown_builtin_at_tabulation(self):
         with pytest.raises(UnknownNameError):

@@ -39,9 +39,13 @@ class TestBuildSieve:
             assert (table.spf[n] == n) == naive_is_prime(n)
 
     def test_spf_divides(self):
-        table = build_sieve(500)
-        for n in range(2, 501):
-            assert n % table.spf[n] == 0
+        # spf[n] is the least prime factor, not just some prime factor; the
+        # prime squares are the first n whose least prime is odd.
+        for limit in [*range(2, 41), 9, 25, 49, 121, 169, 500]:
+            table = build_sieve(limit)
+            for n in range(2, limit + 1):
+                assert n % table.spf[n] == 0
+                assert table.spf[n] == naive_factor(n)[0][0], (limit, n)
 
     def test_accessor_bounds(self):
         table = build_sieve(10)
