@@ -1,8 +1,7 @@
 """Exact Dirichlet-convolution algebra on the window [1, N] and an identity verifier.
 
-Arithmetic functions are tabulated as exact rationals (Python ints mixed with
-fractions.Fraction, both exact), combined through small expression trees, and
-compared value-for-value.  No floating point enters this module.
+Arithmetic functions are tabulated exactly, combined through small expression
+trees, and compared value-for-value.  No floating point enters this module.
 
 Expression syntax (also used by the command line):
 
@@ -23,11 +22,29 @@ tabulator and one point evaluator that works from the factorization:
 
 Numeric literals are scalars and combine through "." only.
 
+Inside tabulation and verification every table is a scaled table (c, k, num):
+its value at n is c * num[n] / n**k, with c a Fraction, k >= 0 and num a
+padded list of ints.  Each builtin declares its k (ld = delta/id and
+id_-k have k > 0, the von Mangoldt builtins have k = 1, all others k = 0).
+The form is closed under the expression operators in int arithmetic:
+
+    *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
+        then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the
+        completely multiplicative id**-k distributes over Dirichlet
+        convolution (the compmult-distr law h.(u * v) = (h.u) * (h.v))
+    .   c1 c2, k1 + k2, numerators multiplied pointwise
+    + - align to one k and one c, then add numerators; scalars change only c
+
+Comparison aligns the same way and compares ints.  Fractions are built only
+for the public TabulatedFunction that tabulate returns, for the two values of
+a mismatch report, and for the scalars c.
+
 The prime-power-supported class is the generalized von Mangoldt function
 Lambda_f (MangoldtOf, mangoldt_tabulate, mangoldt_eval).  The identity
 catalog is one dict from preset name to its formula and its cases: pairs of
 expression texts, or for the seeded compmult-distr preset a generator of
-table pairs.  verify_identity compares every case through first_mismatch.
+table pairs.  verify_identity compares every case by the int comparison that
+first_mismatch also uses.
 """
 
 from __future__ import annotations
@@ -50,6 +67,7 @@ from .ladditive import (
     delta,
     eval_natural,
     l_additive_by_token,
+    ld,
     tabulate_l_additive,
 )
 
@@ -412,16 +430,20 @@ def parse_expression(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class BuiltinImpl:
-    """A builtin's function class: tabulate(limit, sieve) gives the padded values on
-    [1, limit] from a sieve covering limit, at(n) the value at n from its factorization."""
+    """A builtin's function class: tabulate(limit, sieve) gives the padded int
+    numerators num[n] = value(n) * n**k on [1, limit] from a sieve covering limit,
+    at(n) the value at n from its factorization."""
 
     tabulate: Callable[[int, SieveTable], list]
     at: Callable[[int], Rational]
+    k: int = 0
 
 
 def _power(k: int) -> BuiltinImpl:
     """Completely multiplicative id_k(n) = n**k in closed form; one is id_0."""
-    at = (lambda n: n**k) if k >= 0 else (lambda n: Fraction(1, n ** (-k)))
+    if k < 0:
+        return BuiltinImpl(lambda limit, sieve: [0] + [1] * limit, lambda n: Fraction(1, n**-k), -k)
+    at = lambda n: n**k  # noqa: E731
     return BuiltinImpl(lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at)
 
 
@@ -452,6 +474,7 @@ def _tab_delta(limit: int, sieve: SieveTable) -> list:
     # Kept beside tabulate_l_additive on purpose: a generic Leibniz split also
     # carries an h table, and at 2*10**5 even an all-int one took 60-85 ms
     # instead of 40 ms and 15.4 MB of peak allocation instead of 7.4 MB.
+    # It also gives the numerators of ld = delta/id.
     spf = sieve.spf
     v = [0] * (limit + 1)
     for n in range(2, limit + 1):
@@ -461,11 +484,11 @@ def _tab_delta(limit: int, sieve: SieveTable) -> list:
     return v
 
 
-def _leibniz_additive(fn: LAdditiveFunction, tab=None) -> BuiltinImpl:
+def _leibniz_additive(fn: LAdditiveFunction, tab=None, k: int = 0) -> BuiltinImpl:
     """Leibniz-additive f with companion h: tabulate_l_additive and eval_natural."""
     if tab is None:
         tab = lambda limit, sieve: tabulate_l_additive(fn, limit, sieve)  # noqa: E731
-    return BuiltinImpl(tab, lambda n: eval_natural(fn, n))
+    return BuiltinImpl(tab, lambda n: eval_natural(fn, n), k)
 
 
 @dataclass(frozen=True)
@@ -487,16 +510,28 @@ def _prime_ratio(fn: LAdditiveFunction, p: int) -> Rational:
     return as_exact(Fraction(f, h))
 
 
-def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
-    """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0."""
-    vals: list = [0] * (limit + 1)
+def _mangoldt_numerators(fn: LAdditiveFunction, limit: int) -> list:
+    """n * Lambda_f(n) on [1, limit], padded: (f(p)/h(p)) * p**j at every p**j, else 0.
+
+    These are ints for every base that l_additive_by_token resolves, where
+    f(p)/h(p) is an int or 1/p.
+    """
+    num: list = [0] * (limit + 1)
     for p in primes_up_to(limit):
-        v = _prime_ratio(m.base, p)
+        f, h = fn.at_prime(p)
+        a, b = f.numerator * h.denominator, f.denominator * h.numerator  # f(p)/h(p) = a/b
         q = p
         while q <= limit:
-            vals[q] = v
+            v, r = divmod(a * q, b)
+            num[q] = Fraction(a * q, b) if r else v
             q *= p
-    return TabulatedFunction(limit, vals)
+    return num
+
+
+def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
+    """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0."""
+    num = _mangoldt_numerators(m.base, limit)
+    return TabulatedFunction(limit, [as_exact(Fraction(v, n)) if v else 0 for n, v in enumerate(num)])
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -512,7 +547,7 @@ def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> 
 def _prime_power_supported(fn: LAdditiveFunction) -> BuiltinImpl:
     """The generalized von Mangoldt function Lambda_f, supported on prime powers."""
     m = MangoldtOf(fn)
-    return BuiltinImpl(lambda limit, sieve: mangoldt_tabulate(m, limit)._vals, lambda n: mangoldt_eval(m, n))
+    return BuiltinImpl(lambda limit, sieve: _mangoldt_numerators(fn, limit), lambda n: mangoldt_eval(m, n), 1)
 
 
 # Short spellings of canonical builtin names; expressions render the short form.
@@ -531,6 +566,7 @@ _CATALOG = {
     "tau": _multiplicative(lambda p, a: a + 1),
     "phi": _multiplicative(lambda p, a: p ** (a - 1) * (p - 1)),
     "delta": _leibniz_additive(delta(), _tab_delta),
+    "ld": _leibniz_additive(ld(), _tab_delta, 1),
 }
 
 
@@ -593,29 +629,77 @@ def _convolve_padded(a: list, b: list, limit: int) -> list:
     return out
 
 
-def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> list:
+# A scaled table (c, k, num) holds the value c * num[n] / n**k at n, with c a
+# Fraction, k >= 0 and num a padded list of ints; see the module docstring.
+_ONE = Fraction(1)
+
+
+def _times(num: list, s: int, d: int) -> list:
+    """s * num[n] * n**d at every n, as a new list unless s = 1 and d = 0."""
+    if d == 0:
+        return num if s == 1 else [s * v for v in num]
+    return [s * v * n**d for n, v in enumerate(num)]
+
+
+def _value(x: tuple, n: int) -> Fraction:
+    c, k, num = x
+    return Fraction(c * num[n] / n**k)
+
+
+def _conv(x: tuple, y: tuple, limit: int) -> tuple:
+    (c1, k1, a), (c2, k2, b) = x, y
+    k = max(k1, k2)
+    return c1 * c2, k, _convolve_padded(_times(a, 1, k - k1), _times(b, 1, k - k2), limit)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    (c1, k1, a), (c2, k2, b) = x, y
+    return c1 * c2, k1 + k2, [u * v for u, v in zip(a, b)]
+
+
+def _aligned(x: tuple, y: tuple) -> tuple:
+    """(c, k, a, b) with x = c a/n**k and y = c b/n**k, k = max(k1, k2) and int a, b."""
+    (c1, k1, a), (c2, k2, b) = x, y
+    k = max(k1, k2)
+    # c1 = s1 c and c2 = s2 c with c = g/(q1 q2), s1 = p1 q2/g and s2 = p2 q1/g
+    s1, s2 = c1.numerator * c2.denominator, c2.numerator * c1.denominator
+    g = math.gcd(s1, s2) or 1
+    c = Fraction(g, c1.denominator * c2.denominator)
+    return c, k, _times(a, s1 // g, k - k1), _times(b, s2 // g, k - k2)
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    c, k, a, b = _aligned(x, y)
+    return c, k, [u + v for u, v in zip(a, b)]
+
+
+def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> tuple:
+    """The scaled table (c, k, num) of expr; builtin numerators are cached by name."""
     if isinstance(expr, Builtin):
+        impl = resolve_builtin(expr.name)
         key = (normalize_builtin_name(expr.name), limit)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        vals = resolve_builtin(expr.name).tabulate(limit, sieve)
-        cache[key] = vals
-        return vals
+        num = cache.get(key)
+        if num is None:
+            num = cache[key] = impl.tabulate(limit, sieve)
+        return _ONE, impl.k, num
     if isinstance(expr, (Conv, Mul, Add)):
-        a = _tab(expr.left, limit, sieve, cache)
-        b = _tab(expr.right, limit, sieve, cache)
+        x = _tab(expr.left, limit, sieve, cache)
+        y = _tab(expr.right, limit, sieve, cache)
         if isinstance(expr, Conv):
-            return _convolve_padded(a, b, limit)
-        if isinstance(expr, Mul):
-            return [x * y for x, y in zip(a, b)]
-        return [x + y for x, y in zip(a, b)]
-    if isinstance(expr, Scale):
-        c = expr.coeff
-        return [c * v for v in _tab(expr.child, limit, sieve, cache)]
-    if isinstance(expr, Neg):
-        return [-v for v in _tab(expr.child, limit, sieve, cache)]
+            return _conv(x, y, limit)
+        return _mul(x, y) if isinstance(expr, Mul) else _add(x, y)
+    if isinstance(expr, (Scale, Neg)):
+        c, k, num = _tab(expr.child, limit, sieve, cache)
+        return (expr.coeff * c if isinstance(expr, Scale) else -c), k, num
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _covering_sieve(sieve: Optional[SieveTable], limit: int) -> SieveTable:
+    if sieve is None:
+        return build_sieve(max(limit, 2))
+    if sieve.limit < limit:
+        raise ValueError("sieve does not cover the requested limit")
+    return sieve
 
 
 def tabulate(
@@ -627,13 +711,25 @@ def tabulate(
     """Pointwise values of the expression on [1, limit]."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if sieve is None:
-        sieve = build_sieve(max(limit, 2))
-    elif sieve.limit < limit:
-        raise ValueError("sieve does not cover the requested limit")
-    vals = _tab(expr, limit, sieve, cache if cache is not None else {})
-    if isinstance(expr, Builtin):
-        vals = list(vals)  # builtin tabulations are cached; never alias the cache
+    sieve = _covering_sieve(sieve, limit)
+    c, k, num = _tab(expr, limit, sieve, cache if cache is not None else {})
+    p, q = c.numerator, c.denominator
+    if k == 0 and q == 1:
+        if p != 1:
+            vals = [p * v for v in num]
+        else:
+            # Scale and Neg pass their child's num through, so a builtin under
+            # scalars hands back its cached list: never alias the cache.
+            leaf = expr
+            while isinstance(leaf, (Scale, Neg)):
+                leaf = leaf.child
+            vals = list(num) if isinstance(leaf, Builtin) else num
+    else:
+        vals = [0] * (limit + 1)
+        for n in range(1, limit + 1):
+            v = num[n]
+            if v:
+                vals[n] = Fraction(p * v, q * n**k)
     vals[0] = 0
     return TabulatedFunction(limit, vals)
 
@@ -698,17 +794,21 @@ def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
     return TabulatedFunction(limit, out)
 
 
+def _first_mismatch(x: tuple, y: tuple, limit: int) -> Optional[tuple[int, Fraction, Fraction]]:
+    _, _, a, b = _aligned(x, y)
+    for n in range(1, limit + 1):
+        if a[n] != b[n]:
+            return n, _value(x, n), _value(y, n)
+    return None
+
+
 def first_mismatch(
     a: TabulatedFunction, b: TabulatedFunction
 ) -> Optional[tuple[int, Fraction, Fraction]]:
     """Smallest n where the tabulations differ, with both exact values; None if equal."""
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} != {b.limit}")
-    av, bv = a._vals, b._vals
-    for n in range(1, a.limit + 1):
-        if av[n] != bv[n]:
-            return n, Fraction(av[n]), Fraction(bv[n])
-    return None
+    return _first_mismatch((_ONE, 0, a._vals), (_ONE, 0, b._vals), a.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -772,24 +872,22 @@ def _over(lhs: str, rhs: str, *gs: str) -> tuple[tuple[str, str], ...]:
     return tuple((lhs.format(g=g), rhs.format(g=g)) for g in gs)
 
 
-def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, TabulatedFunction, str]]:
+def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[tuple, tuple, str]]:
     # Completely multiplicative h distributes over convolution:
-    # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables.
+    # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables
+    # with values p/q, |p| <= 3 and q <= 4, held as ints over 12.
     rng = random.Random(seed)
-    u = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
-    v = [0] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(limit)]
-    conv_uv = _convolve_padded(u, v, limit)
-    lhs = [n * conv_uv[n] for n in range(limit + 1)]
-    hu = [n * u[n] for n in range(limit + 1)]
-    hv = [n * v[n] for n in range(limit + 1)]
-    rhs = _convolve_padded(hu, hv, limit)
+    u = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
+    v = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
+    u, v = (Fraction(1, 12), 0, u), (Fraction(1, 12), 0, v)
+    h = (_ONE, 0, list(range(limit + 1)))
     label = "id . (u * v) = (id . u) * (id . v)"
-    yield TabulatedFunction(limit, lhs), TabulatedFunction(limit, rhs), label
+    yield _mul(h, _conv(u, v, limit)), _conv(_mul(h, u), _mul(h, v), limit), label
 
 
 # name -> (formula, cases), in listing order.  cases is a tuple of (lhs, rhs)
 # expression pairs, or for a seeded preset a function (limit, seed) that
-# yields (lhs table, rhs table, label).
+# yields (lhs, rhs, label) with both sides as scaled tables (c, k, num).
 _IDENTITIES: dict = {
     "thm2.2": (
         "f * g = (f/h).(h * g) - h * (f.g/h), with f = delta, h = id, "
@@ -915,18 +1013,19 @@ def verify_identity(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t0 = time.perf_counter()
+    sieve = _covering_sieve(sieve, limit)
     cache = cache if cache is not None else {}
 
-    def tab(text: str) -> TabulatedFunction:
-        return tabulate(parse_expression(text), limit, sieve, cache)
+    def tab(text: str) -> tuple:
+        return _tab(parse_expression(text), limit, sieve, cache)
 
     cases = _IDENTITIES[name][1]
     if callable(cases):
         sides = cases(limit, seed)
     else:
         sides = ((tab(lhs), tab(rhs), f"{lhs} = {rhs}") for lhs, rhs in cases)
-    for lhs_t, rhs_t, label in sides:
-        hit = first_mismatch(lhs_t, rhs_t)
+    for lhs, rhs, label in sides:
+        hit = _first_mismatch(lhs, rhs, limit)
         if hit is not None:
             n, lv, rv = hit
             return VerificationReport(name, limit, False, n, lv, rv, label, time.perf_counter() - t0)

@@ -140,29 +140,39 @@ def l_additive_by_token(token: str) -> LAdditiveFunction:
     raise UnknownNameError(token)
 
 
-def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tuple[Rational, Rational]:
-    """(f(n), h(n)) in one division-free pass over the factorization of n.
+def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tuple[int, int, int]:
+    """(F, H, D) with f(n) = F/D and h(n) = H/D, in one int pass over the factorization of n.
 
     Each prime power contributes f(p**a) = a f(p) h(p)**(a-1) and h(p)**a, and
-    the factors combine by f(mk) = f(m)h(k) + f(k)h(m), so int prime values
-    stay ints.
+    the factors combine by f(mk) = f(m)h(k) + f(k)h(m).  With f(p) = x/y and
+    h(p) = z/w, both prime-power values are taken over the common denominator
+    y w**a, and D is the product of those denominators, reduced only by the
+    callers' Fraction.  For int prime values D stays 1 and the pass is the
+    plain int Leibniz pass.
     """
     if n < 1:
         raise ValueError("eval_natural requires n >= 1")
-    f_n, h_n = 0, 1
+    f_n, h_n, den = 0, 1, 1
     for p, a in factorize(n, sieve):
         fp, hp = fn.at_prime(p)
-        h_a1 = hp ** (a - 1)
-        f_pa = a * fp * h_a1
-        h_pa = h_a1 * hp
+        x, y = fp.numerator, fp.denominator
+        z, w = hp.numerator, hp.denominator
+        z_a1 = z ** (a - 1)
+        f_pa = a * x * z_a1
+        h_pa = z_a1 * z
+        if y != 1 or w != 1:
+            f_pa *= w
+            h_pa *= y
+            den *= y * w**a
         f_n = f_n * h_pa + f_pa * h_n
         h_n *= h_pa
-    return f_n, h_n
+    return f_n, h_n, den
 
 
 def eval_natural(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(n) = h(n) * sum(a_i * f(p_i)/h(p_i)) over the factorization of n."""
-    return Fraction(_leibniz(fn, n, sieve)[0])
+    f_n, _, den = _leibniz(fn, n, sieve)
+    return Fraction(f_n, den)
 
 
 def h_eval(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -174,8 +184,8 @@ def h_eval(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) ->
 
 def eval_inverse(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(1/n) = -f(n) / h(n)**2."""
-    f_n, h_n = _leibniz(fn, n, sieve)
-    return Fraction(-f_n, h_n * h_n)
+    f_n, h_n, den = _leibniz(fn, n, sieve)
+    return Fraction(-f_n * den, h_n * h_n)
 
 
 def eval_rational(
@@ -187,9 +197,9 @@ def eval_rational(
     """f(n/m) = (f(n)h(m) - f(m)h(n)) / h(m)**2; agrees with eval_natural at m = 1."""
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be >= 1")
-    f_n, h_n = _leibniz(fn, numerator, sieve)
-    f_m, h_m = _leibniz(fn, denominator, sieve)
-    return Fraction(f_n * h_m - f_m * h_n, h_m * h_m)
+    f_n, h_n, d_n = _leibniz(fn, numerator, sieve)
+    f_m, h_m, d_m = _leibniz(fn, denominator, sieve)
+    return Fraction((f_n * h_m - f_m * h_n) * d_m, d_n * h_m * h_m)
 
 
 def eval_signed(fn: LAdditiveFunction, sf: SignedFactorization) -> Fraction:
@@ -208,7 +218,7 @@ def eval_signed(fn: LAdditiveFunction, sf: SignedFactorization) -> Fraction:
 
 def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(n)/h(n), which is completely additive whenever h never vanishes."""
-    f_n, h_n = _leibniz(fn, n, sieve)
+    f_n, h_n, _ = _leibniz(fn, n, sieve)
     return Fraction(f_n, h_n)
 
 

@@ -39,6 +39,19 @@ from oracles import (
 )
 
 
+# One name per builtin class and family.
+BUILTIN_NAMES = (
+    "one", "eps", "id_-2", "id_0", "id_3", "mu", "tau", "phi", "sigma_0", "sigma_3",
+    "delta", "ld", "big_omega", "delta_p:3",
+    "mangoldt:delta", "mangoldt:ld", "mangoldt:big_omega", "mangoldt:delta_p:5",
+)
+
+# Every lhs and rhs expression text of the identity catalog.
+CATALOG_SIDES = sorted(
+    {text for _, cases in convolution._IDENTITIES.values() if not callable(cases) for pair in cases for text in pair}
+)
+
+
 def tab(text, limit, **kw):
     return tabulate(parse_expression(text), limit, **kw)
 
@@ -195,6 +208,9 @@ class TestTabulate:
         cached = list(cache[("tau", 50)])
         t3 = tab("tau . tau", 50, cache=cache)
         assert cache[("tau", 50)] == cached  # intermediate use left the cache intact
+        for text in ("tau", "-(-tau)", "2 . (1/2 . tau)"):
+            tab(text, 50, cache=cache)._vals[7] = -1
+        assert cache[("tau", 50)] == cached  # no returned table aliases the cache
         assert t3.values() == [v * v for v in t1.values()]
 
 
@@ -264,18 +280,63 @@ class TestConvolveAt:
             for n in range(1, 61):
                 assert evaluate_at(e, n) == t[n]
         # Every builtin, on a window that reaches 2**10 and 3**6.
-        names = (
-            "one", "eps", "id_-2", "id_0", "id_3", "mu", "tau", "phi", "sigma_0", "sigma_3",
-            "delta", "ld", "big_omega", "delta_p:3",
-            "mangoldt:delta", "mangoldt:ld", "mangoldt:big_omega", "mangoldt:delta_p:5",
-        )
         limit = 2**10
         sieve = build_sieve(limit)
-        for name in names:
+        for name in BUILTIN_NAMES:
             e = parse_expression(name)
             t = tabulate(e, limit, sieve)
             for n in range(1, limit + 1):
                 assert evaluate_at(e, n) == t[n], (name, n)
+
+
+class TestScaledTables:
+    """Tables are tabulated as c * num[n] / n**k with int numerators num."""
+
+    @pytest.mark.parametrize(
+        "text",
+        CATALOG_SIDES
+        + [
+            # Add of two rational scalars with a common factor, Mul of two
+            # k = 1 tables, and k = 2 and k = 3 aligned under * and +.
+            "1/3 . ld - 1/6 . (delta . id_-1)",
+            "ld . mangoldt:ld",
+            "3/4 . ld - (ld . id_-2) * (2/3 . mangoldt:delta)",
+        ],
+    )
+    def test_catalog_side_matches_evaluate_at(self, text):
+        # evaluate_at enumerates divisors over Fractions and never uses the
+        # harmonic loop or the scaled algebra.
+        limit = 240
+        e = parse_expression(text)
+        sieve = build_sieve(limit)
+        _, _, num = convolution._tab(e, limit, sieve, {})
+        assert all(type(v) is int for v in num)
+        t = tabulate(e, limit, sieve)
+        for n in range(1, limit + 1):
+            assert evaluate_at(e, n) == t[n], n
+
+    def test_builtin_numerators_are_int(self):
+        limit = 300
+        sieve = build_sieve(limit)
+        for name in BUILTIN_NAMES:
+            _, _, num = convolution._tab(parse_expression(name), limit, sieve, {})
+            assert all(type(v) is int for v in num), name
+
+    def test_fraction_corruption_is_reported_exactly(self, monkeypatch):
+        ld = convolution.resolve_builtin("ld")
+
+        def corrupted_tab(limit, sieve):
+            vals = ld.tabulate(limit, sieve)
+            if limit >= 360:
+                vals[360] += Fraction(1, 7) * 360**ld.k  # the value at 360 is off by 1/7
+            return vals
+
+        monkeypatch.setitem(convolution._CATALOG, "ld", dataclasses.replace(ld, tabulate=corrupted_tab))
+        r = verify_identity("eq19", 500)
+        assert not r.holds
+        assert r.mismatch_n == 360
+        assert r.case == "ld * (one) = ld . (one * (one)) - one * (ld . (one))"
+        assert (r.lhs, r.rhs) == (Fraction(999, 35), Fraction(1109, 35))
 
 
 class TestDirichletInverse:

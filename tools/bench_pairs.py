@@ -1,0 +1,123 @@
+"""Alternating parent/change runs of one benchmark workload, summarised per metric.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload catalog --pairs 10 --seed 100
+
+The change side is the working tree that holds this script; the parent side
+is REV, exported with ``git archive`` into a temporary directory (honouring
+TMPDIR) that is removed on exit.  An export, unlike a
+``git worktree``, leaves no administrative entry under ``.git`` when a run is
+killed.  Both trees are byte-compiled first.  Pair i runs
+``perfbench/run.py --workload W --seed S+i --trace 0`` once in each tree, the
+parent first on even i, and reads the JSON object on the last line of each
+run's output.
+
+For every end-to-end metric of BENCHMARK.json it prints both medians, the
+parent's interquartile range, the change's wins out of the pairs run (ties
+count for neither side), whether a gain may be claimed (wins in at least nine
+tenths of the pairs and a median gap wider than the parent's IQR), and
+whether the change's median stays within the metric's regression bound.  It
+also prints failed/attempted operations for each side.  Nothing under
+``perfbench/`` is imported or modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_tree(rev: str) -> Path:
+    """REV's committed files in a new temporary directory."""
+    tree = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    git = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", str(tree)], stdin=git.stdout)
+    git.stdout.close()
+    if git.wait() != 0 or tar.returncode != 0:
+        shutil.rmtree(tree, ignore_errors=True)
+        raise SystemExit(f"error: could not export {rev!r}")
+    return tree
+
+
+def compile_tree(tree: Path) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"error: run in {tree} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
+    pairs = len(parent)
+    out = [
+        f"{'metric':<12} {'parent':>10} {'change':>10} {'ratio':>7} {'parent IQR':>10} "
+        f"{'wins':>6} {'gain':>5} {'bound':>6}"
+    ]
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        pm, cm = statistics.median(p), statistics.median(c)
+        q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
+        wins = sum(1 for a, b in zip(p, c) if sign * (a - b) > 0)
+        gain = wins >= 0.9 * pairs and sign * (pm - cm) > q3 - q1
+        within = sign * (cm - pm) <= m["bound"] * abs(pm)
+        out.append(
+            f"{name:<12} {pm:>10.4g} {cm:>10.4g} {cm / pm:>7.3f} {q3 - q1:>10.3g} "
+            f"{wins:>3}/{pairs:<2} {'yes' if gain else 'no':>5} {'ok' if within else 'WORSE':>6}"
+        )
+    for label, runs in (("parent", parent), ("change", change)):
+        failed = sum(r["failed"] for r in runs)
+        attempted = sum(r["attempted"] for r in runs)
+        out.append(f"{label} failed/attempted = {failed}/{attempted}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", required=True, choices=("catalog", "series", "points", "window"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    tree = export_tree(args.parent)
+    try:
+        for t in (tree, ROOT):
+            compile_tree(t)
+        parent, change = [], []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = [(tree, parent), (ROOT, change)]
+            if i % 2:
+                order.reverse()
+            for t, results in order:
+                results.append(run_once(t, args.workload, seed))
+            print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(tree, ignore_errors=True)
+    print(f"workload {args.workload}, parent {args.parent}, {args.pairs} pairs from seed {args.seed}")
+    print("\n".join(summarise(spec, parent, change)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
