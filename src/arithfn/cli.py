@@ -172,7 +172,10 @@ def _cmd_eval(args) -> int:
     if token.startswith("mangoldt:"):
         if args.rational is not None:
             raise ValueError("mangoldt functions are defined on natural numbers only")
-        m = MangoldtOf(l_additive_by_token(token.split(":", 1)[1]))
+        try:
+            m = MangoldtOf(l_additive_by_token(token.split(":", 1)[1]))
+        except UnknownNameError:
+            raise UnknownNameError(token) from None
         value = mangoldt_eval(m, args.n)
         argument = str(args.n)
     else:

@@ -22,11 +22,12 @@ tabulator and one point evaluator that works from the factorization:
 
 Numeric literals are scalars and combine through "." only.
 
-Inside tabulation and verification every table is a scaled table (c, k, num):
-its value at n is c * num[n] / n**k, with c a Fraction, k >= 0 and num a
-padded list of ints.  Each builtin declares its k (ld = delta/id and
-id_-k have k > 0, the von Mangoldt builtins have k = 1, all others k = 0).
-The form is closed under the expression operators in int arithmetic:
+Every table, public or internal, is one TabulatedFunction: a Fraction c, an
+int k >= 0 and padded numerators num, with value c * num[n] / n**k at n.
+Each builtin declares its k (ld = delta/id and id_-k have k > 0, the von
+Mangoldt builtins have k = 1, all others k = 0), and its numerators are ints;
+tables built from given values hold them as numerators with c = 1 and k = 0.
+The form is closed under every operation on numerators alone:
 
     *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
         then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the
@@ -34,25 +35,28 @@ The form is closed under the expression operators in int arithmetic:
         convolution (the compmult-distr law h.(u * v) = (h.u) * (h.v))
     .   c1 c2, k1 + k2, numerators multiplied pointwise
     + - align to one k and one c, then add numerators; scalars change only c
+    ^-1 the Dirichlet inverse of c a/n**k is (1/c) a^-1/n**k, by the same law
 
-Comparison aligns the same way and compares ints.  Fractions are built only
-for the public TabulatedFunction that tabulate returns, for the two values of
-a mismatch report, and for the scalars c.
+Comparison aligns the same way and compares numerators.  Values are built
+only when read (TabulatedFunction documents the read rule), so Fractions
+appear only in what a caller reads, in the two values of a mismatch report
+and in the scalars c.
 
 The prime-power-supported class is the generalized von Mangoldt function
 Lambda_f (MangoldtOf, mangoldt_tabulate, mangoldt_eval).  The identity
 catalog is one dict from preset name to its formula and its cases: pairs of
 expression texts, or for the seeded compmult-distr preset a generator of
-table pairs.  verify_identity compares every case by the int comparison that
-first_mismatch also uses.
+table pairs.  verify_identity compares every case through first_mismatch.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -60,7 +64,7 @@ from fractions import Fraction
 from typing import Callable, IO, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError, UnknownNameError
-from .factor import SieveTable, build_sieve, divisors, factorize, primes_up_to
+from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
     LAdditiveFunction,
     as_exact,
@@ -90,9 +94,18 @@ def fraction_from_str(s: str) -> Fraction:
 
 
 class TabulatedFunction:
-    """Exact values of an arithmetic function on 1..limit (1-indexed reads)."""
+    """Exact values of an arithmetic function on 1..limit (1-indexed reads).
 
-    __slots__ = ("limit", "_vals")
+    The table holds a Fraction c, an int k >= 0 and padded numerators
+    _vals[0..limit]; its value at n is c * _vals[n] / n**k.  Values are built
+    only when read, by one rule that keeps the value types of the numerators:
+    with c = 1 and k = 0 the stored numerator, with k = 0 and an integer c
+    that integer times it, and otherwise Fraction(c * _vals[n], n**k), or
+    the int 0 where the numerator is 0.  The public constructors store the
+    given values with c = 1 and k = 0.
+    """
+
+    __slots__ = ("limit", "_c", "_k", "_vals")
 
     def __init__(self, limit: int, padded_values: list):
         # padded_values[n] is the value at n; index 0 is unused filler.
@@ -101,6 +114,8 @@ class TabulatedFunction:
         if len(padded_values) != limit + 1:
             raise ValueError("padded value list must have length limit + 1")
         self.limit = limit
+        self._c = _ONE
+        self._k = 0
         self._vals = padded_values
 
     @classmethod
@@ -111,35 +126,40 @@ class TabulatedFunction:
     def __getitem__(self, n: int) -> Rational:
         if not 1 <= n <= self.limit:
             raise IndexError(f"index {n} outside [1, {self.limit}]")
-        return self._vals[n]
+        p, q, k, v = self._c.numerator, self._c.denominator, self._k, self._vals[n]
+        if k == 0 and q == 1:
+            return v if p == 1 else p * v
+        return Fraction(p * v, q * n**k) if v else 0
 
     def __len__(self) -> int:
         return self.limit
 
     def values(self) -> list:
         """The values at 1..limit as a fresh list."""
-        return self._vals[1:]
+        p, q, k, num = self._c.numerator, self._c.denominator, self._k, self._vals
+        if k == 0 and q == 1:
+            return num[1:] if p == 1 else [p * v for v in num[1:]]
+        return [Fraction(p * num[n], q * n**k) if num[n] else 0 for n in range(1, self.limit + 1)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TabulatedFunction):
             return NotImplemented
-        return self.limit == other.limit and self._vals[1:] == other._vals[1:]
+        return self.limit == other.limit and first_mismatch(self, other) is None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        head = ", ".join(str(v) for v in self._vals[1 : min(self.limit, 6) + 1])
+        head = ", ".join(str(self[n]) for n in range(1, min(self.limit, 6) + 1))
         return f"TabulatedFunction(limit={self.limit}, values=[{head}, ...])"
 
     def to_csv(self, out: IO[str]) -> None:
         """CSV with columns n, value (value always as 'p/q')."""
         w = csv.writer(out)
         w.writerow(["n", "value"])
-        for n in range(1, self.limit + 1):
-            w.writerow([n, fraction_to_str(self._vals[n])])
+        w.writerows([n, fraction_to_str(v)] for n, v in enumerate(self.values(), 1))
 
     def to_json_obj(self) -> dict:
         return {
             "limit": self.limit,
-            "values": [fraction_to_str(v) for v in self._vals[1:]],
+            "values": [fraction_to_str(v) for v in self.values()],
         }
 
     def to_json(self) -> str:
@@ -152,6 +172,16 @@ class TabulatedFunction:
         if len(vals) != obj["limit"]:
             raise ValueError("limit does not match number of values")
         return cls.from_values(vals)
+
+
+_ONE = Fraction(1)
+
+
+def _scaled(limit: int, c: Fraction, k: int, num: list) -> TabulatedFunction:
+    """The table c * num[n] / n**k, without validation: for tables built here."""
+    t = TabulatedFunction.__new__(TabulatedFunction)
+    t.limit, t._c, t._k, t._vals = limit, c, k, num
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +526,7 @@ class MangoldtOf:
     """The generalized von Mangoldt function Lambda_f attached to an L-additive base f.
 
     It takes the value f(p)/h(p) on every prime power p**k (k >= 1) and 0
-    elsewhere, and inverts f through h: f = h * (h . Lambda_f).  The
-    classical variant with values log p is irrational-valued and lives in
-    the float-based series module.
+    elsewhere, and inverts f through h: f = h * (h . Lambda_f).
     """
 
     base: LAdditiveFunction
@@ -510,14 +538,15 @@ def _prime_ratio(fn: LAdditiveFunction, p: int) -> Rational:
     return as_exact(Fraction(f, h))
 
 
-def _mangoldt_numerators(fn: LAdditiveFunction, limit: int) -> list:
+def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> list:
     """n * Lambda_f(n) on [1, limit], padded: (f(p)/h(p)) * p**j at every p**j, else 0.
 
-    These are ints for every base that l_additive_by_token resolves, where
-    f(p)/h(p) is an int or 1/p.
+    The primes come from the sieve when one is given.  The numerators are ints
+    for every base that l_additive_by_token resolves, where f(p)/h(p) is an
+    int or 1/p.
     """
     num: list = [0] * (limit + 1)
-    for p in primes_up_to(limit):
+    for p in _primes_from(sieve, limit):
         f, h = fn.at_prime(p)
         a, b = f.numerator * h.denominator, f.denominator * h.numerator  # f(p)/h(p) = a/b
         q = p
@@ -547,7 +576,8 @@ def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> 
 def _prime_power_supported(fn: LAdditiveFunction) -> BuiltinImpl:
     """The generalized von Mangoldt function Lambda_f, supported on prime powers."""
     m = MangoldtOf(fn)
-    return BuiltinImpl(lambda limit, sieve: _mangoldt_numerators(fn, limit), lambda n: mangoldt_eval(m, n), 1)
+    tab = lambda limit, sieve: _mangoldt_numerators(fn, limit, sieve)  # noqa: E731
+    return BuiltinImpl(tab, lambda n: mangoldt_eval(m, n), 1)
 
 
 # Short spellings of canonical builtin names; expressions render the short form.
@@ -629,68 +659,51 @@ def _convolve_padded(a: list, b: list, limit: int) -> list:
     return out
 
 
-# A scaled table (c, k, num) holds the value c * num[n] / n**k at n, with c a
-# Fraction, k >= 0 and num a padded list of ints; see the module docstring.
-_ONE = Fraction(1)
-
-
 def _times(num: list, s: int, d: int) -> list:
     """s * num[n] * n**d at every n, as a new list unless s = 1 and d = 0."""
     if d == 0:
         return num if s == 1 else [s * v for v in num]
-    return [s * v * n**d for n, v in enumerate(num)]
+    return [v * (s * n**d) for n, v in enumerate(num)]
 
 
-def _value(x: tuple, n: int) -> Fraction:
-    c, k, num = x
-    return Fraction(c * num[n] / n**k)
+def _mul(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
+    return _scaled(x.limit, x._c * y._c, x._k + y._k, [u * v for u, v in zip(x._vals, y._vals)])
 
 
-def _conv(x: tuple, y: tuple, limit: int) -> tuple:
-    (c1, k1, a), (c2, k2, b) = x, y
-    k = max(k1, k2)
-    return c1 * c2, k, _convolve_padded(_times(a, 1, k - k1), _times(b, 1, k - k2), limit)
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    (c1, k1, a), (c2, k2, b) = x, y
-    return c1 * c2, k1 + k2, [u * v for u, v in zip(a, b)]
-
-
-def _aligned(x: tuple, y: tuple) -> tuple:
-    """(c, k, a, b) with x = c a/n**k and y = c b/n**k, k = max(k1, k2) and int a, b."""
-    (c1, k1, a), (c2, k2, b) = x, y
-    k = max(k1, k2)
+def _aligned(x: TabulatedFunction, y: TabulatedFunction) -> tuple:
+    """(c, k, a, b) with x = c a/n**k and y = c b/n**k, k = max(k1, k2)."""
+    c1, c2 = x._c, y._c
+    k = max(x._k, y._k)
     # c1 = s1 c and c2 = s2 c with c = g/(q1 q2), s1 = p1 q2/g and s2 = p2 q1/g
     s1, s2 = c1.numerator * c2.denominator, c2.numerator * c1.denominator
     g = math.gcd(s1, s2) or 1
     c = Fraction(g, c1.denominator * c2.denominator)
-    return c, k, _times(a, s1 // g, k - k1), _times(b, s2 // g, k - k2)
+    return c, k, _times(x._vals, s1 // g, k - x._k), _times(y._vals, s2 // g, k - y._k)
 
 
-def _add(x: tuple, y: tuple) -> tuple:
+def _add(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
     c, k, a, b = _aligned(x, y)
-    return c, k, [u + v for u, v in zip(a, b)]
+    return _scaled(x.limit, c, k, [u + v for u, v in zip(a, b)])
 
 
-def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> tuple:
-    """The scaled table (c, k, num) of expr; builtin numerators are cached by name."""
+def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFunction:
+    """The table of expr; builtin numerators are cached by name and may be shared."""
     if isinstance(expr, Builtin):
         impl = resolve_builtin(expr.name)
         key = (normalize_builtin_name(expr.name), limit)
         num = cache.get(key)
         if num is None:
             num = cache[key] = impl.tabulate(limit, sieve)
-        return _ONE, impl.k, num
+        return _scaled(limit, _ONE, impl.k, num)
     if isinstance(expr, (Conv, Mul, Add)):
         x = _tab(expr.left, limit, sieve, cache)
         y = _tab(expr.right, limit, sieve, cache)
         if isinstance(expr, Conv):
-            return _conv(x, y, limit)
+            return dirichlet_convolve(x, y)
         return _mul(x, y) if isinstance(expr, Mul) else _add(x, y)
     if isinstance(expr, (Scale, Neg)):
-        c, k, num = _tab(expr.child, limit, sieve, cache)
-        return (expr.coeff * c if isinstance(expr, Scale) else -c), k, num
+        t = _tab(expr.child, limit, sieve, cache)
+        return _scaled(limit, expr.coeff * t._c if isinstance(expr, Scale) else -t._c, t._k, t._vals)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -712,33 +725,29 @@ def tabulate(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     sieve = _covering_sieve(sieve, limit)
-    c, k, num = _tab(expr, limit, sieve, cache if cache is not None else {})
-    p, q = c.numerator, c.denominator
-    if k == 0 and q == 1:
-        if p != 1:
-            vals = [p * v for v in num]
-        else:
-            # Scale and Neg pass their child's num through, so a builtin under
-            # scalars hands back its cached list: never alias the cache.
-            leaf = expr
-            while isinstance(leaf, (Scale, Neg)):
-                leaf = leaf.child
-            vals = list(num) if isinstance(leaf, Builtin) else num
-    else:
-        vals = [0] * (limit + 1)
-        for n in range(1, limit + 1):
-            v = num[n]
-            if v:
-                vals[n] = Fraction(p * v, q * n**k)
-    vals[0] = 0
-    return TabulatedFunction(limit, vals)
+    t = _tab(expr, limit, sieve, cache if cache is not None else {})
+    # Scale and Neg pass their child's numerators through, so a builtin under
+    # scalars hands back its cached list: never alias the cache.
+    leaf = expr
+    while isinstance(leaf, (Scale, Neg)):
+        leaf = leaf.child
+    if isinstance(leaf, Builtin):
+        t._vals = list(t._vals)
+    return t
 
 
 def dirichlet_convolve(a: TabulatedFunction, b: TabulatedFunction) -> TabulatedFunction:
-    """(a * b)(n) = sum over d | n of a(d) b(n/d), exactly, for n up to the shared limit."""
+    """(a * b)(n) = sum over d | n of a(d) b(n/d), exactly, for n up to the shared limit.
+
+    Both sides are aligned to k = max(k1, k2) and their numerators convolved:
+    (c1 u/n**k) * (c2 v/n**k) = c1 c2 (u * v)/n**k by compmult-distr with the
+    completely multiplicative h = id**-k.
+    """
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} != {b.limit}")
-    return TabulatedFunction(a.limit, _convolve_padded(a._vals, b._vals, a.limit))
+    k = max(a._k, b._k)
+    num = _convolve_padded(_times(a._vals, 1, k - a._k), _times(b._vals, 1, k - b._k), a.limit)
+    return _scaled(a.limit, a._c * b._c, k, num)
 
 
 def evaluate_at(expr: Expr, n: int) -> Fraction:
@@ -771,10 +780,14 @@ def convolve_at(a_expr: Expr, b_expr: Expr, n: int) -> Fraction:
 
 
 def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
-    """The Dirichlet inverse on [1, limit]: (a * inverse)(n) = eps(n)."""
+    """The Dirichlet inverse on [1, limit]: (a * inverse)(n) = eps(n).
+
+    The loop runs on the numerators: (c u/n**k)^-1 = (1/c) u^-1/n**k by
+    compmult-distr, since h = id**-k fixes eps.
+    """
     av = a._vals
     a1 = av[1]
-    if a1 == 0:
+    if a1 == 0 or a._c == 0:
         raise ValueError("not invertible: value at 1 is 0")
     limit = a.limit
     inv1 = a1 if a1 in (1, -1) else 1 / Fraction(a1)  # an int table stays int
@@ -791,24 +804,23 @@ def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
         for d in range(2, limit // n + 1):
             if av[d] != 0:
                 out[n * d] += av[d] * v
-    return TabulatedFunction(limit, out)
-
-
-def _first_mismatch(x: tuple, y: tuple, limit: int) -> Optional[tuple[int, Fraction, Fraction]]:
-    _, _, a, b = _aligned(x, y)
-    for n in range(1, limit + 1):
-        if a[n] != b[n]:
-            return n, _value(x, n), _value(y, n)
-    return None
+    return _scaled(limit, 1 / a._c, a._k, out)
 
 
 def first_mismatch(
     a: TabulatedFunction, b: TabulatedFunction
 ) -> Optional[tuple[int, Fraction, Fraction]]:
-    """Smallest n where the tabulations differ, with both exact values; None if equal."""
+    """Smallest n where the tabulations differ, with both exact values; None if equal.
+
+    The numerators are compared after aligning k and c; values are built only
+    at the n reported.
+    """
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} != {b.limit}")
-    return _first_mismatch((_ONE, 0, a._vals), (_ONE, 0, b._vals), a.limit)
+    _, _, u, v = _aligned(a, b)
+    differs = map(operator.ne, itertools.islice(u, 1, None), itertools.islice(v, 1, None))
+    n = next(itertools.compress(itertools.count(1), differs), None)
+    return None if n is None else (n, Fraction(a[n]), Fraction(b[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -872,22 +884,22 @@ def _over(lhs: str, rhs: str, *gs: str) -> tuple[tuple[str, str], ...]:
     return tuple((lhs.format(g=g), rhs.format(g=g)) for g in gs)
 
 
-def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[tuple, tuple, str]]:
+def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, TabulatedFunction, str]]:
     # Completely multiplicative h distributes over convolution:
     # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables
     # with values p/q, |p| <= 3 and q <= 4, held as ints over 12.
     rng = random.Random(seed)
     u = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
     v = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
-    u, v = (Fraction(1, 12), 0, u), (Fraction(1, 12), 0, v)
-    h = (_ONE, 0, list(range(limit + 1)))
+    u, v = _scaled(limit, Fraction(1, 12), 0, u), _scaled(limit, Fraction(1, 12), 0, v)
+    h = _scaled(limit, _ONE, 0, list(range(limit + 1)))
     label = "id . (u * v) = (id . u) * (id . v)"
-    yield _mul(h, _conv(u, v, limit)), _conv(_mul(h, u), _mul(h, v), limit), label
+    yield _mul(h, dirichlet_convolve(u, v)), dirichlet_convolve(_mul(h, u), _mul(h, v)), label
 
 
 # name -> (formula, cases), in listing order.  cases is a tuple of (lhs, rhs)
 # expression pairs, or for a seeded preset a function (limit, seed) that
-# yields (lhs, rhs, label) with both sides as scaled tables (c, k, num).
+# yields (lhs, rhs, label) with both sides as tables.
 _IDENTITIES: dict = {
     "thm2.2": (
         "f * g = (f/h).(h * g) - h * (f.g/h), with f = delta, h = id, "
@@ -1016,7 +1028,7 @@ def verify_identity(
     sieve = _covering_sieve(sieve, limit)
     cache = cache if cache is not None else {}
 
-    def tab(text: str) -> tuple:
+    def tab(text: str) -> TabulatedFunction:
         return _tab(parse_expression(text), limit, sieve, cache)
 
     cases = _IDENTITIES[name][1]
@@ -1025,7 +1037,7 @@ def verify_identity(
     else:
         sides = ((tab(lhs), tab(rhs), f"{lhs} = {rhs}") for lhs, rhs in cases)
     for lhs, rhs, label in sides:
-        hit = _first_mismatch(lhs, rhs, limit)
+        hit = first_mismatch(lhs, rhs)
         if hit is not None:
             n, lv, rv = hit
             return VerificationReport(name, limit, False, n, lv, rv, label, time.perf_counter() - t0)

@@ -6,6 +6,7 @@ produced here, so this module sticks to exact integer arithmetic throughout.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,12 +103,14 @@ class SignedFactorization:
 class SieveTable:
     """Smallest-prime-factor table for 2..limit; spf[n] is the least prime dividing n.
 
-    spf[0] and spf[1] are unused filler.  Memory is one machine word per
-    integer up to the limit.  Treat as read-only after construction.
+    spf[0] and spf[1] are unused filler; primes lists the primes <= limit in
+    increasing order.  Memory is one machine word per integer up to the limit,
+    plus the primes.  Treat as read-only after construction.
     """
 
     limit: int
     spf: list[int]
+    primes: list[int]
 
     def smallest_prime_factor(self, n: int) -> int:
         if not 2 <= n <= self.limit:
@@ -126,11 +129,12 @@ def build_sieve(limit: int) -> SieveTable:
     spf = [2] * (limit + 1)
     spf[0] = spf[1] = 0
     root = math.isqrt(limit)
-    for p in reversed(primes_up_to(limit)):
+    primes = primes_up_to(limit)
+    for p in reversed(primes):
         if 2 < p <= root:
             spf[p * p :: 2 * p] = [p] * ((limit - p * p) // (2 * p) + 1)
         spf[p] = p
-    return SieveTable(limit, spf)
+    return SieveTable(limit, spf, primes)
 
 
 def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
@@ -197,6 +201,13 @@ def primes_up_to(limit: int) -> list[int]:
             start = p * p
             flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
     return list(itertools.compress(range(limit + 1), flags))
+
+
+def _primes_from(sieve: Optional[SieveTable], limit: int) -> list[int]:
+    """The primes <= limit, cut from the sieve's list when it covers limit."""
+    if sieve is None or sieve.limit < limit:
+        return primes_up_to(limit)
+    return sieve.primes[: bisect.bisect_right(sieve.primes, limit)]
 
 
 def divisors(n: int, sieve: Optional[SieveTable] = None) -> list[int]:

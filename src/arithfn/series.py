@@ -41,9 +41,6 @@ largest n or p summed, e is:
   multiplies that by |a|/|a - p| <= C = 1/(1 - 2**-Re(s)) and adds u; the
   reciprocal adds u for real s and 6u for complex s.  So e is
   C (4 + |s+1| log N) + 2, or C (11 + 6 |s+1| log N) + 7.
-
-This module also owns the float-valued completely additive adapter (values
-log p on primes), which cannot live in the exact engine.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import numpy as np
 
 from .convolution import TabulatedFunction, parse_expression, tabulate
 from .errors import OutOfDomainError, UnknownNameError
-from .factor import SieveTable, factorize, primes_up_to
+from .factor import SieveTable, _primes_from, build_sieve, primes_up_to
 
 ComplexLike = Union[int, float, complex]
 
@@ -230,36 +227,6 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
 
 
 # ---------------------------------------------------------------------------
-# Float adapter: completely additive functions with irrational prime values
-# ---------------------------------------------------------------------------
-
-
-def log_eval(n: int, sieve: Optional[SieveTable] = None) -> float:
-    """log n evaluated the completely additive way: sum of a*log p over p**a || n.
-
-    Agrees with math.log(n) to within ~1e-12 relative rounding; that float
-    slack is why log-valued functions stay out of the exact layer.
-    """
-    if n < 1:
-        raise ValueError("log_eval requires n >= 1")
-    return math.fsum(a * math.log(p) for p, a in factorize(n, sieve))
-
-
-def classical_mangoldt_tabulate(limit: int) -> np.ndarray:
-    """Float array v with v[n] = log p if n = p**k (k >= 1), else 0.0; v[0] unused."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    v = np.zeros(limit + 1, dtype=np.float64)
-    for p in primes_up_to(limit):
-        lp = math.log(p)
-        q = p
-        while q <= limit:
-            v[q] = lp
-            q *= p
-    return v
-
-
-# ---------------------------------------------------------------------------
 # Series identity presets
 # ---------------------------------------------------------------------------
 
@@ -386,7 +353,9 @@ def check_series_identity(
 
     Passes iff |lhs - rhs| <= tolerance.  The tolerance must absorb the lhs
     truncation error, which is the caller's choice of limit; rhs is computed
-    about three digits finer than the tolerance.
+    about three digits finer than the tolerance.  The primes of F come from the
+    sieve (built over [1, limit] when none is given) when it covers prime_limit:
+    a sieve table costs a word per integer, primes_up_to a byte.
     """
     preset = _SERIES_PRESETS.get(name)
     if preset is None:
@@ -409,11 +378,13 @@ def check_series_identity(
             f"{name} is checked for Re(s) > {min_re}, got Re(s) = {z.real}"
         )
     expr = parse_expression(coeff)
+    if sieve is None:
+        sieve = build_sieve(max(limit, 2))
     coeff_tab = tabulate(expr, limit, sieve, cache)
     lhs = dirichlet_partial_sum(coeff_tab, z).value
 
     zeta_target = max(min(tolerance / 1000.0, 1e-9), 1e-12)
-    primes = primes_up_to(prime_limit)
+    primes = _primes_from(sieve, prime_limit)
 
     def zeta_at(arg: complex) -> complex:
         return zeta(arg, zeta_target).value

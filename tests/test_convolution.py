@@ -309,7 +309,7 @@ class TestScaledTables:
         limit = 240
         e = parse_expression(text)
         sieve = build_sieve(limit)
-        _, _, num = convolution._tab(e, limit, sieve, {})
+        num = convolution._tab(e, limit, sieve, {})._vals
         assert all(type(v) is int for v in num)
         t = tabulate(e, limit, sieve)
         for n in range(1, limit + 1):
@@ -319,7 +319,7 @@ class TestScaledTables:
         limit = 300
         sieve = build_sieve(limit)
         for name in BUILTIN_NAMES:
-            _, _, num = convolution._tab(parse_expression(name), limit, sieve, {})
+            num = convolution._tab(parse_expression(name), limit, sieve, {})._vals
             assert all(type(v) is int for v in num), name
 
     def test_fraction_corruption_is_reported_exactly(self, monkeypatch):
@@ -337,6 +337,39 @@ class TestScaledTables:
         assert r.mismatch_n == 360
         assert r.case == "ld * (one) = ld . (one * (one)) - one * (ld . (one))"
         assert (r.lhs, r.rhs) == (Fraction(999, 35), Fraction(1109, 35))
+
+
+class TestOneRepresentation:
+    """Public tables carry c * num[n] / n**k, and every operation runs on num."""
+
+    def test_fraction_tables_convolve_in_ints(self):
+        c = dirichlet_convolve(tab("ld", 300), tab("tau", 300))
+        assert all(type(v) is int for v in c._vals)
+        assert c == tab("ld * tau", 300)
+
+    def test_convolve_matches_convolve_at(self):
+        limit = 240
+        c = dirichlet_convolve(tab("id_-1", limit), tab("ld", limit))
+        for n in range(1, limit + 1):
+            assert c[n] == convolve_at(Builtin("id_-1"), Builtin("ld"), n), n
+
+    def test_inverse_carries_c_and_k(self):
+        assert dirichlet_inverse(tab("id_-1", 200)) == tab("mu . id_-1", 200)
+        assert dirichlet_inverse(tab("1/2 . one", 200)) == tab("2 . mu", 200)
+        with pytest.raises(ValueError):
+            dirichlet_inverse(tab("0 . one", 10))
+
+    def test_json_copy_of_scaled_table(self):
+        t = tab("ld", 200)
+        copy = TabulatedFunction.from_json(t.to_json())
+        assert copy == t and t == copy
+        tau = tab("tau", 200)
+        assert dirichlet_convolve(copy, tau) == dirichlet_convolve(t, tau)
+        vals = t.values()
+        vals[59] += Fraction(1, 7)
+        corrupted = TabulatedFunction.from_values(vals)
+        hit = first_mismatch(t, corrupted)
+        assert hit == first_mismatch(copy, corrupted) == (60, Fraction(23, 15), Fraction(176, 105))
 
 
 class TestDirichletInverse:

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from arithfn import (
@@ -12,12 +11,10 @@ from arithfn import (
     TabulatedFunction,
     build_sieve,
     check_series_identity,
-    classical_mangoldt_tabulate,
     dirichlet_convolve,
     dirichlet_partial_sum,
     ld,
     list_series_presets,
-    log_eval,
     mangoldt_tabulate,
     parse_expression,
     prime_F,
@@ -213,32 +210,6 @@ class TestCorrectRounding:
             SeriesEstimate(1.0, 10, 0.0, -1e-17)
 
 
-class TestFloatAdapter:
-    def test_log_eval_matches_math_log(self):
-        sieve = build_sieve(10**4)
-        for n in range(1, 10**4 + 1):
-            assert abs(log_eval(n, sieve) - math.log(n)) <= 1e-12
-
-    def test_classical_mangoldt_values(self):
-        v = classical_mangoldt_tabulate(30)
-        assert v[1] == 0.0
-        assert v[6] == 0.0
-        assert v[8] == pytest.approx(math.log(2), abs=1e-15)
-        assert v[27] == pytest.approx(math.log(3), abs=1e-15)
-        assert v[29] == pytest.approx(math.log(29), abs=1e-15)
-
-    def test_chebyshev_style_sum_matches_zeta_log_derivative(self):
-        # sum of Lambda(n)/n^2 vs -zeta'(2)/zeta(2), the latter by central difference
-        limit = 10**6
-        lam = classical_mangoldt_tabulate(limit)
-        ns = np.arange(1, limit + 1, dtype=np.float64)
-        lhs = float(np.sum(lam[1:] / ns**2))
-        h = 1e-5
-        dz = (zeta(2 + h, 1e-12).value.real - zeta(2 - h, 1e-12).value.real) / (2 * h)
-        rhs = -dz / zeta(2, 1e-12).value.real
-        assert abs(lhs - rhs) <= 1e-4
-
-
 class TestCheckSeriesIdentity:
     def test_pass_points(self, sieve_1e6, cache_1e6):
         # one step beyond each declared boundary, where truncation at 10**6
@@ -260,6 +231,14 @@ class TestCheckSeriesIdentity:
         )
         assert a.lhs == b.lhs
         assert abs(a.rhs - b.rhs) <= 1e-15
+
+    def test_primes_from_sieve_or_primes_up_to(self):
+        # The primes of F come from the sieve when it covers prime_limit and
+        # from primes_up_to otherwise; both give the same report.
+        for limit, prime_limit in ((3000, 2000), (2000, 3000)):
+            r = check_series_identity("cor-tau", 3.5, limit, prime_limit, 1e-3)
+            for sieve in (build_sieve(limit), build_sieve(max(limit, prime_limit))):
+                assert check_series_identity("cor-tau", 3.5, limit, prime_limit, 1e-3, sieve=sieve) == r
 
     def test_half_plane_enforced(self):
         with pytest.raises(OutOfDomainError):
