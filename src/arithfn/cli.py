@@ -2,13 +2,14 @@
 
 Exit codes: 0 success (identity holds / check passes), 1 verification failure
 (exact mismatch or tolerance breach), 2 usage error (unknown name, malformed
-input, out-of-domain point).
+input, out-of-domain point, a window that does not fit in memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -224,11 +225,14 @@ def _cmd_convolve(args) -> int:
     a = tabulate(expr_a, args.limit, sieve)
     b = tabulate(expr_b, args.limit, sieve)
     c = dirichlet_convolve(a, b)
+    # The whole table is rendered before anything is printed, so a value that
+    # cannot be rendered leaves no partial output.
     if args.format == "table":
-        for n in range(1, c.limit + 1):
-            print(f"{n}\t{c[n]}")
+        print("\n".join(f"{n}\t{c[n]}" for n in range(1, c.limit + 1)))
     elif args.format == "csv":
-        c.to_csv(sys.stdout)
+        buf = io.StringIO()
+        c.to_csv(buf)
+        sys.stdout.write(buf.getvalue())
     else:
         obj = c.to_json_obj()
         obj["expression"] = f"({expr_a}) * ({expr_b})"
@@ -374,6 +378,9 @@ def run(argv: list[str]) -> int:
         return 2
     except (ParseError, OutOfDomainError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller --limit", file=sys.stderr)
         return 2
 
 

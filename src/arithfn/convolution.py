@@ -13,10 +13,10 @@ Expression syntax (also used by the command line):
 Builtins fall into four function classes; each class has one sieve
 tabulator and one point evaluator that works from the factorization:
 
-    completely multiplicative   one (= id_0), id (= id_1), id_<k> (any
-                                integer k; id_-1 is 1/n), in closed form
+    completely multiplicative   one (= id_0), id (= id_1), id_<k>
+                                (|k| <= 64; id_-1 is 1/n), in closed form
     multiplicative              eps, mu, tau, phi, sigma (= sigma_1),
-                                sigma_<k> (k >= 0), from g(p, a) at p**a
+                                sigma_<k> (0 <= k <= 64), from g(p, a) at p**a
     Leibniz-additive            delta, ld, big_omega, delta_p:<prime>
     prime-power-supported       mangoldt:<fn>, f(p)/h(p) at every p**k
 
@@ -79,8 +79,10 @@ Rational = Union[int, Fraction]
 
 
 def fraction_to_str(v: Rational) -> str:
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
+    """'p/q' in lowest terms; ints and Fractions already carry theirs, floats are rejected."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"values must be exact rationals (int or Fraction), got {v!r}")
+    return f"{v.numerator}/{v.denominator}"
 
 
 def fraction_from_str(s: str) -> Fraction:
@@ -600,6 +602,17 @@ _CATALOG = {
 }
 
 
+# Family exponents beyond this make every value a huge power; such a name fails
+# at parse time instead of hanging tabulation or point evaluation.
+_MAX_EXPONENT = 64
+
+
+def _family_exponent(name: str, k: int) -> int:
+    if abs(k) > _MAX_EXPONENT:
+        raise ParseError(f"exponent of {name!r} out of range: |k| must be <= {_MAX_EXPONENT}")
+    return k
+
+
 # A family member depends only on its name, so resolutions are memoized.
 @functools.lru_cache(maxsize=64)
 def _resolve_family(name: str) -> Optional[BuiltinImpl]:
@@ -608,11 +621,11 @@ def _resolve_family(name: str) -> Optional[BuiltinImpl]:
             k = int(name[3:])
         except ValueError:
             return None
-        return _power(k)
+        return _power(_family_exponent(name, k))
     if name.startswith("sigma_"):
         if not name[6:].isdigit():
             return None
-        k = int(name[6:])
+        k = _family_exponent(name, int(name[6:]))
         return _multiplicative(lambda p, a: sum(p ** (j * k) for j in range(a + 1)))
     prefix, _, token = name.partition(":")
     mangoldt = prefix == "mangoldt"

@@ -5,11 +5,11 @@ into truncated Dirichlet sums and compares those against closed forms built
 from zeta(s) and F(s) = sum over primes of 1/(p**(s+1) - p), within an
 explicit tolerance.
 
-Supported regions.  zeta is evaluated by direct summation plus the integral
-tail correction N**(1-s)/(s-1), which needs Re(s) >= 1.5 to stay cheap and
-carries the remainder bound N**(-Re(s)).  F converges for Re(s) > 0 and is
-summed over primes up to a limit with an integral tail bound.  There is no
-analytic continuation anywhere.
+Supported regions.  zeta is evaluated by Euler-Maclaurin summation for every
+s != 1 with Re(s) > -25, where its remainder bound holds; for |Im(s)| <= 16
+that takes 15 powers and 14 corrections.  For Re(s) < 0 those terms cancel,
+and rounding_bound grows with them.  F converges for Re(s) > 0 and is summed
+over primes up to a limit with an integral tail bound.
 
 Rounding.  Every sum goes through _sum_terms: one math.fsum per component
 over all computed terms, so each component of a sum is the exact sum of the
@@ -31,10 +31,12 @@ largest n or p summed, e is:
 
 - n**-s (_powers): 4 for real s (one pow); 11 + 5 |s| log N for complex s.
 - a(n) n**-s: that plus 2 (float() of a(n), one product).
-- zeta's tail correction N**(1-s)/(s-1): rounding 1 - s perturbs the pow by
-  u |1-s| log N and s - 1 costs u; the pow itself (Python's complex pow: one
-  pow, a phase Im(1-s) log N, cos and sin) costs at most 11 + 5 |1-s| log N
-  and the quotient 6, so e <= 18 + 6 (|s| + 1) log N.
+- zeta's corrections start from x = N**-s, the last power (e_x above); an
+  operation costs k = 1 for real s and 6 for complex s (a complex product is
+  within sqrt(5) u), and s + m costs 1.  N**-s/2 is exact: e = e_x.
+  N**(1-s)/(s-1) = x N/(s-1): e = e_x + 1 + 2k.  T_j = (B_2j/(2j)!) g_j with
+  g_1 = s x/N and g_{j+1} = g_j (s+2j-1)(s+2j)/N**2 (N**2 is exact): 2k for
+  g_1, 2 + 3k per step and 1 + k for the coefficient, so e = e_x + j (2+3k) - 1.
 - 1/(p**(s+1) - p): s + 1 costs u |s+1| log N through the pow, so
   a = p**(s+1) has relative error 4 + |s+1| log N for real s and
   11 + 6 |s+1| log N for complex s (log p, product and exp).  Subtracting p
@@ -48,8 +50,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Optional, Sequence, Union
+from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,9 +61,14 @@ from .factor import SieveTable, _primes_from, build_sieve, primes_up_to
 
 ComplexLike = Union[int, float, complex]
 
-_CHUNK = 1 << 20
-_MAX_ZETA_TERMS = 300_000_000
 _U = 2.0**-53  # unit roundoff of float64
+
+# B_2, B_4, ..., B_26 as exact (numerator, denominator); zeta adds the terms of
+# B_2j/(2j)! for j <= 12 and bounds its remainder by the 13th.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+              (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6))
+_EM_COEFFS = [float(Fraction(p, q) / math.factorial(2 * j)) for j, (p, q) in enumerate(_BERNOULLI, 1)]
+_ZETA_MAX_N = 1 << 16  # bounds zeta's N, which starts at |Im(s)| and doubles toward a target
 
 
 def _as_finite_complex(s: ComplexLike, label: str = "s") -> complex:
@@ -96,27 +103,20 @@ class SeriesEstimate:
             raise ValueError("rounding_bound must be nonnegative")
 
 
-def _sum_terms(count: int, terms: Callable[[int, int], np.ndarray]) -> tuple[complex, float]:
-    """Correctly rounded sum of the terms 0 <= i < count, and the sum of their moduli.
+def _sum_terms(terms: np.ndarray) -> tuple[complex, float]:
+    """Correctly rounded sum of a float64 or complex128 term array, and the sum of the moduli.
 
-    terms(lo, hi) returns the float64 or complex128 terms lo <= i < hi; it is
-    called on blocks of at most _CHUNK indices, so memory stays bounded.  Each
-    component is one math.fsum over the whole stream: the exact sum of the
-    computed terms, rounded once.  Past the first block the blocks are computed
-    again for each component rather than held.
+    Each component is one math.fsum over the whole array, fed through a
+    memoryview: the exact sum of the computed terms, rounded once.  zeta by
+    Euler-Maclaurin summation (Edwards, Riemann's Zeta Function, 1974, 6.4)
+    needs at most 2**16 terms, so every sum of the module is one array.
     """
-    spans = [(lo, min(lo + _CHUNK, count)) for lo in range(0, max(count, 1), _CHUNK)]
-    first = terms(*spans[0])
-
-    def total(part: Callable[[np.ndarray], np.ndarray]) -> float:
-        blocks = chain((first,), (terms(lo, hi) for lo, hi in spans[1:]))
-        return math.fsum(chain.from_iterable(memoryview(part(b)) for b in blocks))
-
-    if np.iscomplexobj(first):
-        return complex(total(np.real), total(np.imag)), total(np.abs)
-    value = total(np.real)
+    if np.iscomplexobj(terms):
+        value = complex(math.fsum(memoryview(terms.real)), math.fsum(memoryview(terms.imag)))
+        return value, math.fsum(memoryview(np.abs(terms)))
+    value = math.fsum(memoryview(terms))
     # sum |t| = sum t - 2 * (sum of the negative terms), which are usually few
-    return complex(value), value - 2.0 * total(lambda b: b[b < 0])
+    return complex(value), value - 2.0 * math.fsum(memoryview(terms[terms < 0]))
 
 
 def _half_ulps(z: complex) -> float:
@@ -124,9 +124,9 @@ def _half_ulps(z: complex) -> float:
     return 0.5 * (math.ulp(z.real) + math.ulp(z.imag))
 
 
-def _powers(lo: int, hi: int, s: complex) -> np.ndarray:
-    """n**(-s) for lo < n <= hi: one pow for real s, exp(-s log n) otherwise."""
-    ns = np.arange(lo + 1, hi + 1, dtype=np.float64)
+def _powers(limit: int, s: complex) -> np.ndarray:
+    """n**(-s) for 1 <= n <= limit: one pow for real s, exp(-s log n) otherwise."""
+    ns = np.arange(1, limit + 1, dtype=np.float64)
     return ns ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(ns))
 
 
@@ -135,44 +135,42 @@ def _powers_error(s: complex, limit: int) -> float:
     return 4.0 if s.imag == 0.0 else 11.0 + 5.0 * abs(s) * math.log(limit)
 
 
-def _power_sum(limit: int, s: complex) -> tuple[complex, float]:
-    """sum of n**(-s) for 1 <= n <= limit, correctly rounded from the computed
-    terms, and the sum of their moduli."""
-    return _sum_terms(limit, lambda lo, hi: _powers(lo, hi, s))
-
-
 def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
-    """zeta(s) for Re(s) >= 1.5 by direct sum plus the tail integral N**(1-s)/(s-1).
+    """zeta(s) for s != 1 with Re(s) > -25, by Euler-Maclaurin summation:
 
-    The remainder after the correction is bounded by N**(-Re(s)); N is chosen
-    so that the bound meets target_precision.  Adding the correction rounds
-    once more, so rounding_bound carries half an ulp of the direct sum and of
-    the value, and c = e + 1 for the power terms and for the correction.
+        zeta(s) = sum_{n<N} n**-s + N**(1-s)/(s-1) + N**-s/2 + sum_{j<=12} T_j + R,
+
+    T_j = B_2j/(2j)! s(s+1)...(s+2j-2) N**(1-s-2j), |R| <= |s+25|/(Re(s)+25) |T_13|
+    (Edwards, Riemann's Zeta Function, 1974, 6.4).  N starts at max(16, ceil|Im(s)|)
+    and doubles until that bound, the tail_bound, meets target_precision; a target
+    that N <= 2**16 cannot meet raises ValueError.
     """
     z = _as_finite_complex(s)
     re = z.real
-    if re < 1.5:
-        raise OutOfDomainError(f"zeta supported for Re(s) >= 1.5, got Re(s) = {re}")
+    if z == 1 or re <= -25:
+        raise OutOfDomainError(f"zeta is evaluated for s != 1 with Re(s) > -25, got s = {z}")
     if target_precision <= 0:
         raise ValueError("target_precision must be positive")
-    n_terms = max(
-        math.ceil(target_precision ** (-1.0 / re)),
-        math.ceil(2 * abs(z) ** 2),
-        50,
-    )
-    if n_terms > _MAX_ZETA_TERMS:
-        raise ValueError(
-            f"target_precision {target_precision} at Re(s) = {re} needs {n_terms} terms; "
-            f"limit is {_MAX_ZETA_TERMS}"
-        )
-    partial, magnitude = _power_sum(n_terms, z)
-    n_f = float(n_terms)
-    correction = n_f ** complex(1 - z) / (z - 1) if z.imag else n_f ** (1 - re) / (re - 1)
-    value = complex(partial + correction)
-    c_corr = 19.0 + 6.0 * (abs(z) + 1.0) * math.log(n_f)
-    weighted = (_powers_error(z, n_terms) + 1.0) * magnitude + c_corr * abs(correction)
-    rounding = _half_ulps(partial) + _half_ulps(value) + _U * weighted
-    return SeriesEstimate(value, n_terms, n_f ** (-re), rounding)
+    # |R| <= head * N**(-Re(s)-25); an overflowing head fails the test below
+    head = abs(z + 25) / (re + 25) * abs(_EM_COEFFS[-1]) * math.prod(abs(z + m) for m in range(25))
+    n = max(16, math.ceil(abs(z.imag)))
+    while n <= _ZETA_MAX_N and not head * n ** (-re - 25) <= target_precision:
+        n *= 2
+    if n > _ZETA_MAX_N:
+        raise ValueError(f"zeta({z}) cannot meet target_precision {target_precision} with N <= {_ZETA_MAX_N}")
+    powers = _powers(n, z)
+    w = z if z.imag else re  # real arithmetic for real s
+    x, n_f = powers[-1].item(), float(n)
+    corrections = [x * n_f / (w - 1), x / 2]
+    g = w * x / n_f
+    for j, c in enumerate(_EM_COEFFS[:-1], 1):
+        corrections.append(c * g)
+        g = g * ((w + 2 * j - 1) * (w + 2 * j)) / (n_f * n_f)
+    value, magnitude = _sum_terms(np.concatenate((powers[:-1], corrections)))
+    k = 6.0 if z.imag else 1.0  # cost of one operation; extra[i] is e - e_x of corrections[i]
+    extra = [1.0 + 2.0 * k, 0.0] + [j * (2.0 + 3.0 * k) - 1.0 for j in range(1, len(_EM_COEFFS))]
+    weighted = (_powers_error(z, n) + 1.0) * magnitude + sum(e * abs(t) for e, t in zip(extra, corrections))
+    return SeriesEstimate(value, n, head * n ** (-re - 25), _half_ulps(value) + _U * weighted)
 
 
 def prime_F(
@@ -195,13 +193,8 @@ def prime_F(
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
     ps = np.asarray(primes if primes is not None else primes_up_to(prime_limit), dtype=np.float64)
-
-    def terms(lo: int, hi: int) -> np.ndarray:
-        p = ps[lo:hi]
-        power = p ** (re + 1.0) if z.imag == 0.0 else np.exp((z + 1) * np.log(p))
-        return 1.0 / (power - p)
-
-    value, magnitude = _sum_terms(ps.size, terms)
+    power = ps ** (re + 1.0) if z.imag == 0.0 else np.exp((z + 1) * np.log(ps))
+    value, magnitude = _sum_terms(1.0 / (power - ps))
     c = 1.0 / (1.0 - 2.0 ** (-re))
     tail = c * prime_limit ** (-re) / re
     log_n = math.log(ps.max()) if ps.size else 0.0
@@ -221,7 +214,7 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
     z = _as_finite_complex(s)
     coeffs = np.array(a.values(), dtype=np.float64)
     limit = a.limit
-    value, magnitude = _sum_terms(limit, lambda lo, hi: coeffs[lo:hi] * _powers(lo, hi, z))
+    value, magnitude = _sum_terms(coeffs * _powers(limit, z))
     c = _powers_error(z, limit) + 3.0
     return SeriesEstimate(value, limit, 0.0, _half_ulps(value) + c * _U * magnitude)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from arithfn import convolution
+from arithfn import cli, convolution
 from arithfn.cli import run
 from arithfn.convolution import VerificationReport
 
@@ -196,6 +196,48 @@ class TestDeepExpressions:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestOversizedInputs:
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["convolve", "sigma_99999999", "one", "--at", "6"], "sigma_99999999"),
+            (["convolve", "id_100000", "one", "--limit", "3"], "id_100000"),
+            (["convolve", "one", "id_-65", "--format", "csv"], "id_-65"),
+            (["series", "cor-sigmak", "--s", "70", "--k", "65"], "sigma_65"),
+        ],
+        ids=["sigma-at", "id-limit", "negative-id-csv", "series-k"],
+    )
+    def test_huge_exponent_rejected_with_one_line(self, capsys, argv, token):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(token) in captured.err
+
+    def test_largest_exponent_accepted(self, capsys):
+        assert run(["convolve", "id_64", "one", "--at", "2"]) == 0
+        assert out_lines(capsys) == [str(2**64 + 1)]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_unrenderable_table_prints_no_partial_output(self, capsys, fmt):
+        # n**4096 has more decimal digits than int-to-str allows from n = 12 on
+        expr = " . ".join(["id_64"] * 64)
+        assert run(["convolve", expr, "one", "--limit", "20", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_memory_error_exits_two(self, capsys, monkeypatch):
+        def no_memory(limit):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_sieve", no_memory)
+        assert run(["convolve", "one", "one", "--limit", "10000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestListIdentities:

@@ -19,6 +19,7 @@ from arithfn import (
     dirichlet_inverse,
     evaluate_at,
     first_mismatch,
+    fraction_to_str,
     list_identity_presets,
     parse_expression,
     tabulate,
@@ -105,6 +106,13 @@ class TestParser:
     def test_scalar_plus_function_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("id_2 - 3")
+
+    def test_family_exponents_are_capped(self):
+        for name in ("id_64", "id_-64", "sigma_64"):
+            assert parse_expression(name) == Builtin(name)
+        for name in ("id_65", "id_-65", "sigma_65", "sigma_99999999"):
+            with pytest.raises(ParseError, match=name):
+                parse_expression(f"{name} * one")
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
@@ -502,6 +510,13 @@ class TestTabulatedFunctionIO:
     def test_json_round_trip(self):
         t = tab("ld", 50)
         assert TabulatedFunction.from_json(t.to_json()) == t
+
+    def test_fraction_to_str(self):
+        assert [fraction_to_str(v) for v in (0, -3, Fraction(6, 4), Fraction(-1, 3))] == [
+            "0/1", "-3/1", "3/2", "-1/3",
+        ]
+        with pytest.raises(TypeError):
+            fraction_to_str(0.5)
 
     def test_getitem_bounds(self):
         t = tab("one", 5)

@@ -22,7 +22,6 @@ from arithfn import (
     tabulate,
     zeta,
 )
-from arithfn import series
 from arithfn.errors import OutOfDomainError, UnknownNameError
 
 from oracles import fraction_sum_bracket, naive_primes_up_to
@@ -67,14 +66,40 @@ class TestZeta:
             assert abs(est.value - complex(mpmath.zeta(s))) <= est.tail_bound + 1e-12
 
     def test_out_of_domain(self):
+        # the pole, and the region where the remainder bound does not hold
         with pytest.raises(OutOfDomainError):
-            zeta(1.2)
+            zeta(1)
         with pytest.raises(OutOfDomainError):
-            zeta(1.49 + 5j)
+            zeta(-30)
+        # points below the old direct-sum region Re(s) >= 1.5
+        with mpmath.workprec(200):
+            for s in (1.2, 1.49 + 5j):
+                est = zeta(s)
+                err = abs(mpmath.mpc(est.value) - mpmath.zeta(mpmath.mpc(s)))
+                assert err <= est.tail_bound + est.rounding_bound, (s, err)
 
     def test_unreachable_precision(self):
+        est = zeta(1.5, 1e-13)
+        assert est.tail_bound <= 1e-13
+        assert abs(est.value - complex(mpmath.zeta(1.5))) <= 1e-13
+        # N <= 2**16 cannot reach these targets: one needs a tiny remainder,
+        # the other starts at N = |Im(s)|
         with pytest.raises(ValueError):
-            zeta(1.5, 1e-13)
+            zeta(2, 1e-300)
+        with pytest.raises(ValueError):
+            zeta(0.5 + 1e5j)
+
+    def test_euler_maclaurin_against_mpmath(self):
+        # real points, points below the old region Re(s) >= 1.5, one near the
+        # first nontrivial zero, one with N = |Im(s)| > 16, and Re(s) < 0
+        points = [2, 3, 4, 30, 1.01, 1.2, 1.5, 1.6 + 1j, 2 + 1j, 3 + 2j, 1.49 + 5j]
+        points += [0.5 + 14.134725j, 3.5 + 40j, -1.5]
+        with mpmath.workprec(200):
+            for s in points:
+                est = zeta(s)
+                assert est.tail_bound <= 1e-10
+                err = abs(mpmath.mpc(est.value) - mpmath.zeta(mpmath.mpc(s)))
+                assert err <= est.tail_bound + est.rounding_bound, (s, err)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
@@ -198,12 +223,6 @@ class TestCorrectRounding:
         t = TabulatedFunction.from_values(values)
         assert dirichlet_partial_sum(t, 0).value == math.fsum(float(v) for v in t.values())
 
-    def test_blocks_do_not_change_the_sum(self, monkeypatch):
-        t = tabulate(parse_expression("mu . delta"), 5000)
-        whole = [dirichlet_partial_sum(t, s) for s in (4, 3 + 2j)]
-        monkeypatch.setattr(series, "_CHUNK", 999)
-        assert [dirichlet_partial_sum(t, s) for s in (4, 3 + 2j)] == whole
-
     def test_rounding_bound_validated(self):
         assert SeriesEstimate(1.0, 10, 0.0).rounding_bound == 0.0
         with pytest.raises(ValueError):
@@ -249,9 +268,11 @@ class TestCheckSeriesIdentity:
             check_series_identity("cor-sigmak", 3.5, 100, 100, 1e-6, k=2)
 
     def test_zeta_region_still_binds_inside_half_plane(self):
-        # Re(s) = 2.1 satisfies the thm3.3 bound but zeta(1.1) is unsupported
-        with pytest.raises(OutOfDomainError):
-            check_series_identity("thm3.3", 2.1, 100, 100, 1e-6)
+        # Re(s) = 2.1 is inside the thm3.3 half-plane, and zeta(1.1) is evaluated there
+        r = check_series_identity("thm3.3", 2.1, 100, 100, 1e-6)
+        rhs = zeta(1.1, 1e-9).value * prime_F(1.1, 100).value
+        assert r.rhs == pytest.approx(rhs, rel=1e-14)
+        assert abs(zeta(1.1).value - complex(mpmath.zeta(1.1))) <= 1e-13
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownNameError):
