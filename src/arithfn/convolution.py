@@ -15,8 +15,8 @@ tabulator and one point evaluator that works from the factorization:
 
     completely multiplicative   one (= id_0), id (= id_1), id_<k>
                                 (|k| <= 64; id_-1 is 1/n), in closed form
-    multiplicative              eps, mu, tau, phi, sigma (= sigma_1),
-                                sigma_<k> (0 <= k <= 64), from g(p, a) at p**a
+    multiplicative              eps, mu, tau, phi, sigma (= sigma_1), sigma_<k>
+                                (0 <= k <= 64), as prod_j zeta(s - j)**e_j
     Leibniz-additive            delta, ld, big_omega, delta_p:<prime>
     prime-power-supported       mangoldt:<fn>, f(p)/h(p) at every p**k
 
@@ -462,34 +462,51 @@ def parse_expression(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class BuiltinImpl:
-    """A builtin's function class: tabulate(limit, sieve) gives the padded int
-    numerators num[n] = value(n) * n**k on [1, limit] from a sieve covering limit,
-    at(n) the value at n from its factorization."""
+    """A builtin's function class: tabulate(limit, sieve) gives the padded int numerators
+    num[n] = value(n) * n**k on [1, limit] from a sieve covering limit, at(n) the value
+    at n from its factorization, euler the {j: e_j} of a series prod_j zeta(s - j)**e_j."""
 
     tabulate: Callable[[int, SieveTable], list]
     at: Callable[[int], Rational]
     k: int = 0
+    euler: Optional[dict] = None
 
 
 def _power(k: int) -> BuiltinImpl:
     """Completely multiplicative id_k(n) = n**k in closed form; one is id_0."""
     if k < 0:
-        return BuiltinImpl(lambda limit, sieve: [0] + [1] * limit, lambda n: Fraction(1, n**-k), -k)
+        return BuiltinImpl(lambda limit, sieve: [0] + [1] * limit, lambda n: Fraction(1, n**-k), -k, {k: 1})
     at = lambda n: n**k  # noqa: E731
-    return BuiltinImpl(lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at)
+    return BuiltinImpl(lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at, euler={k: 1})
 
 
-def _multiplicative(g: Callable[[int, int], int]) -> BuiltinImpl:
-    """Multiplicative function with value g(p, a) at each prime power p**a."""
+def _zeta_product(e: dict) -> BuiltinImpl:
+    """Multiplicative f with Dirichlet series prod_j zeta(s - j)**e[j]: f(p**a) is the
+    x**a coefficient of prod_j (1 - p**j x)**-e[j], so f(p) = sum_j e[j] p**j."""
+
+    def g(p: int, a: int) -> int:
+        c = [1] + [0] * a  # x**0..x**a of the product so far
+        for j, ej in e.items():
+            # times 1/(1 - p**j x) runs upward, times 1 - p**j x downward
+            q, order = (p**j, range(1, a + 1)) if ej > 0 else (-(p**j), range(a, 0, -1))
+            for _ in range(abs(ej)):
+                for i in order:
+                    c[i] += q * c[i - 1]
+        return c[a]
 
     def tab(limit: int, sieve: SieveTable) -> list:
-        # Split n = p**a * r at the smallest prime p: v[n] = v[p**a] * v[r],
-        # and v[p**a] = g(p, a) the first time the prime power itself comes up.
-        spf = sieve.spf
         v = [0] * (limit + 1)
         v[1] = 1
+        for j, ej in e.items():
+            for p in _primes_from(sieve, limit):
+                v[p] += ej * p**j
+        # Split a composite n = p**a * r at its smallest prime p: v[n] = v[p**a] * v[r],
+        # and v[p**a] = g(p, a) the first time the prime power itself comes up.
+        spf = sieve.spf
         for n in range(2, limit + 1):
             p = spf[n]
+            if p == n:
+                continue
             r = n // p
             a = 1
             while r % p == 0:
@@ -498,7 +515,7 @@ def _multiplicative(g: Callable[[int, int], int]) -> BuiltinImpl:
             v[n] = v[n // r] * v[r] if r > 1 else g(p, a)
         return v
 
-    return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)))
+    return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)), euler=e)
 
 
 def _tab_delta(limit: int, sieve: SieveTable) -> list:
@@ -560,9 +577,11 @@ def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[Siev
 
 
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
-    """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0."""
-    num = _mangoldt_numerators(m.base, limit)
-    return TabulatedFunction(limit, [as_exact(Fraction(v, n)) if v else 0 for n, v in enumerate(num)])
+    """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0; the table
+    tabulate(mangoldt:<base>) builds, with numerators n * Lambda_f(n) and k = 1."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    return _scaled(limit, _ONE, 1, _mangoldt_numerators(m.base, limit))
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -593,10 +612,10 @@ def normalize_builtin_name(name: str) -> str:
 
 _CATALOG = {
     "one": _power(0),
-    "eps": _multiplicative(lambda p, a: 0),
-    "mu": _multiplicative(lambda p, a: -1 if a == 1 else 0),
-    "tau": _multiplicative(lambda p, a: a + 1),
-    "phi": _multiplicative(lambda p, a: p ** (a - 1) * (p - 1)),
+    "eps": _zeta_product({}),
+    "mu": _zeta_product({0: -1}),
+    "tau": _zeta_product({0: 2}),
+    "phi": _zeta_product({1: 1, 0: -1}),
     "delta": _leibniz_additive(delta(), _tab_delta),
     "ld": _leibniz_additive(ld(), _tab_delta, 1),
 }
@@ -626,7 +645,8 @@ def _resolve_family(name: str) -> Optional[BuiltinImpl]:
         if not name[6:].isdigit():
             return None
         k = _family_exponent(name, int(name[6:]))
-        return _multiplicative(lambda p, a: sum(p ** (j * k) for j in range(a + 1)))
+        # sigma_k = one * id_k; for k = 0 both factors are zeta(s), so sigma_0 = tau
+        return _zeta_product({0: 2} if k == 0 else {0: 1, k: 1})
     prefix, _, token = name.partition(":")
     mangoldt = prefix == "mangoldt"
     try:

@@ -42,7 +42,9 @@ largest n or p summed, e is:
   11 + 6 |s+1| log N for complex s (log p, product and exp).  Subtracting p
   multiplies that by |a|/|a - p| <= C = 1/(1 - 2**-Re(s)) and adds u; the
   reciprocal adds u for real s and 6u for complex s.  So e is
-  C (4 + |s+1| log N) + 2, or C (11 + 6 |s+1| log N) + 7.
+  C (4 + |s+1| log N) + 2, or C (11 + 6 |s+1| log N) + 7.  A term whose power
+  overflows is counted as 0: its modulus is below 1/(2**1024 - p) < 2**-1023,
+  which rounding_bound adds once per such term.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .convolution import TabulatedFunction, parse_expression, tabulate
+from .convolution import Builtin, Expr, Mul, TabulatedFunction, parse_expression, resolve_builtin, tabulate
 from .errors import OutOfDomainError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, primes_up_to
 
@@ -151,10 +153,17 @@ def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
         raise OutOfDomainError(f"zeta is evaluated for s != 1 with Re(s) > -25, got s = {z}")
     if target_precision <= 0:
         raise ValueError("target_precision must be positive")
-    # |R| <= head * N**(-Re(s)-25); an overflowing head fails the test below
-    head = abs(z + 25) / (re + 25) * abs(_EM_COEFFS[-1]) * math.prod(abs(z + m) for m in range(25))
+    # |R| <= head * N**(-Re(s)-25), compared in log space: for |s| beyond about
+    # 2*10**12 head overflows while N**(-Re(s)-25) underflows.  A zero factor
+    # s + m (s = 0, -1, ..., -24) makes the remainder 0.
+    factors = [abs(z + m) for m in range(25)]
+    if 0.0 in factors:
+        log_head = -math.inf
+    else:
+        log_head = math.log(abs(z + 25) / (re + 25) * abs(_EM_COEFFS[-1])) + math.fsum(map(math.log, factors))
+    log_target = math.log(target_precision)
     n = max(16, math.ceil(abs(z.imag)))
-    while n <= _ZETA_MAX_N and not head * n ** (-re - 25) <= target_precision:
+    while n <= _ZETA_MAX_N and not log_head - (re + 25) * math.log(n) <= log_target:
         n *= 2
     if n > _ZETA_MAX_N:
         raise ValueError(f"zeta({z}) cannot meet target_precision {target_precision} with N <= {_ZETA_MAX_N}")
@@ -165,12 +174,14 @@ def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
     g = w * x / n_f
     for j, c in enumerate(_EM_COEFFS[:-1], 1):
         corrections.append(c * g)
-        g = g * ((w + 2 * j - 1) * (w + 2 * j)) / (n_f * n_f)
+        if g:  # once x underflows every correction is 0, and (w+2j-1)(w+2j) may overflow
+            g = g * ((w + 2 * j - 1) * (w + 2 * j)) / (n_f * n_f)
     value, magnitude = _sum_terms(np.concatenate((powers[:-1], corrections)))
     k = 6.0 if z.imag else 1.0  # cost of one operation; extra[i] is e - e_x of corrections[i]
     extra = [1.0 + 2.0 * k, 0.0] + [j * (2.0 + 3.0 * k) - 1.0 for j in range(1, len(_EM_COEFFS))]
     weighted = (_powers_error(z, n) + 1.0) * magnitude + sum(e * abs(t) for e, t in zip(extra, corrections))
-    return SeriesEstimate(value, n, head * n ** (-re - 25), _half_ulps(value) + _U * weighted)
+    tail = math.exp(log_head - (re + 25) * math.log(n))
+    return SeriesEstimate(value, n, tail, _half_ulps(value) + _U * weighted)
 
 
 def prime_F(
@@ -193,8 +204,12 @@ def prime_F(
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
     ps = np.asarray(primes if primes is not None else primes_up_to(prime_limit), dtype=np.float64)
-    power = ps ** (re + 1.0) if z.imag == 0.0 else np.exp((z + 1) * np.log(ps))
-    value, magnitude = _sum_terms(1.0 / (power - ps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = ps ** (re + 1.0) if z.imag == 0.0 else np.exp((z + 1) * np.log(ps))
+        terms = 1.0 / (power - ps)
+    overflowed = ~np.isfinite(power)
+    terms[overflowed] = 0.0
+    value, magnitude = _sum_terms(terms)
     c = 1.0 / (1.0 - 2.0 ** (-re))
     tail = c * prime_limit ** (-re) / re
     log_n = math.log(ps.max()) if ps.size else 0.0
@@ -202,7 +217,8 @@ def prime_F(
         e = c * (4.0 + abs(z + 1) * log_n) + 2.0
     else:
         e = c * (11.0 + 6.0 * abs(z + 1) * log_n) + 7.0
-    return SeriesEstimate(value, prime_limit, tail, _half_ulps(value) + (e + 1.0) * _U * magnitude)
+    dropped = int(np.count_nonzero(overflowed)) * 2.0**-1023
+    return SeriesEstimate(value, prime_limit, tail, _half_ulps(value) + (e + 1.0) * _U * magnitude + dropped)
 
 
 def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimate:
@@ -223,56 +239,40 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
 # Series identity presets
 # ---------------------------------------------------------------------------
 
-# name -> (formula, min_re, coefficients, closed form).  Each preset is checked
-# for Re(s) > min_re; the coefficients are an expression text, and the closed
-# form (s, zeta_at, F_at, k) -> complex evaluates zeta and F at shifted
-# arguments.  A "{k}" in the coefficients takes the power k >= 0 and moves the
-# half-plane to Re(s) > min_re + k.
+# name -> (formula, coefficients).  The coefficients are an expression text; a
+# "{k}" in them takes the power k >= 0.  The closed form and the half-plane
+# are derived from the coefficients by _series_form.
 _SERIES_PRESETS: dict = {
-    "lemma-Fld": (
-        "sum mangoldt:ld(n)/n^s = F(s); checked for Re(s) > 1",
-        1.0,
-        "mangoldt:ld",
-        lambda s, zeta_at, F_at, k: F_at(s),
-    ),
-    "thm3.3": (
-        "sum delta(n)/n^s = zeta(s-1) F(s-1); Re(s) > 2",
-        2.0,
-        "delta",
-        lambda s, zeta_at, F_at, k: zeta_at(s - 1) * F_at(s - 1),
-    ),
-    "cor-tau": (
-        "sum tau(n) delta(n)/n^s = 2 zeta(s-1)^2 F(s-1); Re(s) > 2",
-        2.0,
-        "tau . delta",
-        lambda s, zeta_at, F_at, k: 2 * zeta_at(s - 1) ** 2 * F_at(s - 1),
-    ),
-    "cor-mu": (
-        "sum mu(n) delta(n)/n^s = -F(s-1) / zeta(s-1); Re(s) > 2",
-        2.0,
-        "mu . delta",
-        lambda s, zeta_at, F_at, k: -F_at(s - 1) / zeta_at(s - 1),
-    ),
+    "lemma-Fld": ("sum mangoldt:ld(n)/n^s = F(s); checked for Re(s) > 1", "mangoldt:ld"),
+    "thm3.3": ("sum delta(n)/n^s = zeta(s-1) F(s-1); Re(s) > 2", "delta"),
+    "cor-tau": ("sum tau(n) delta(n)/n^s = 2 zeta(s-1)^2 F(s-1); Re(s) > 2", "tau . delta"),
+    "cor-mu": ("sum mu(n) delta(n)/n^s = -F(s-1) / zeta(s-1); Re(s) > 2", "mu . delta"),
     "cor-phi": (
         "sum phi(n) delta(n)/n^s = zeta(s-2)/zeta(s-1) (F(s-2) - F(s-1)); Re(s) > 3",
-        3.0,
         "phi . delta",
-        lambda s, zeta_at, F_at, k: zeta_at(s - 2) / zeta_at(s - 1) * (F_at(s - 2) - F_at(s - 1)),
     ),
     "cor-sigma": (
         "sum sigma(n) delta(n)/n^s = zeta(s-1) zeta(s-2) (F(s-2) + F(s-1)); Re(s) > 3",
-        3.0,
         "sigma . delta",
-        lambda s, zeta_at, F_at, k: zeta_at(s - 1) * zeta_at(s - 2) * (F_at(s - 2) + F_at(s - 1)),
     ),
     "cor-sigmak": (
         "sum sigma_k(n) delta(n)/n^s = zeta(s-1) zeta(s-k-1) (F(s-1) + F(s-k-1)); "
         "Re(s) > k+2 (k defaults to 2)",
-        2.0,
         "sigma_{k} . delta",
-        lambda s, zeta_at, F_at, k: zeta_at(s - 1) * zeta_at(s - k - 1) * (F_at(s - 1) + F_at(s - k - 1)),
     ),
 }
+
+
+def _series_form(expr: Expr) -> tuple[dict, dict]:
+    """(e, w) with sum a(n)/n**s = prod_j zeta(s-j)**e[j] * sum_j w[j] F(s-j) for the
+    coefficients a of a preset: Lambda_ld gives F(s); f . delta (delta is one . delta)
+    gives e = w = e_f shifted by 1, for f with series prod_j zeta(s-j)**e_f[j], since
+    delta(n) = n sum_p v_p(n)/p takes the log-derivative of each Euler factor."""
+    if expr == Builtin("mangoldt:ld"):
+        return {}, {0: 1}
+    f = expr.left if isinstance(expr, Mul) else Builtin("one")
+    e = {j + 1: ej for j, ej in resolve_builtin(f.name).euler.items()}
+    return e, e
 
 
 def list_series_presets() -> list[tuple[str, str]]:
@@ -359,18 +359,19 @@ def check_series_identity(
         raise ValueError("prime_limit must be >= 2")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    _, min_re, coeff, closed_form = preset
+    _, coeff = preset
     if "{k}" in coeff:
         if k < 0:
             raise ValueError("k must be >= 0")
-        min_re += k
         coeff = coeff.format(k=k)
     z = _as_finite_complex(s)
+    expr = parse_expression(coeff)
+    e, w = _series_form(expr)
+    min_re = 1.0 + max(w)
     if z.real <= min_re:
         raise OutOfDomainError(
             f"{name} is checked for Re(s) > {min_re}, got Re(s) = {z.real}"
         )
-    expr = parse_expression(coeff)
     if sieve is None:
         sieve = build_sieve(max(limit, 2))
     coeff_tab = tabulate(expr, limit, sieve, cache)
@@ -378,14 +379,8 @@ def check_series_identity(
 
     zeta_target = max(min(tolerance / 1000.0, 1e-9), 1e-12)
     primes = _primes_from(sieve, prime_limit)
-
-    def zeta_at(arg: complex) -> complex:
-        return zeta(arg, zeta_target).value
-
-    def F_at(arg: complex) -> complex:
-        return prime_F(arg, prime_limit, primes).value
-
-    rhs = closed_form(z, zeta_at, F_at, k)
+    rhs = math.prod(zeta(z - j, zeta_target).value ** ej for j, ej in e.items())
+    rhs *= sum(wj * prime_F(z - j, prime_limit, primes).value for j, wj in w.items())
     abs_error = abs(lhs - rhs)
     return SeriesCheckReport(
         name=name,

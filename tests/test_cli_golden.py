@@ -33,6 +33,10 @@ _BUILTINS = [
 ]
 _EVAL_TOKENS = ["delta", "ld", "big_omega", "delta_p:3", "mangoldt:ld"]
 _MALFORMED = ["sqrt", "mangoldt:foo", "delta_p:9", "delta_p:x", "id_x", "sigma_-1", "mangoldt:"]
+# each series preset at the bound of its half-plane, which it rejects
+_SERIES_BOUNDS = [
+    ("lemma-Fld", "1"), ("thm3.3", "2"), ("cor-tau", "2"), ("cor-mu", "2"), ("cor-phi", "3"), ("cor-sigma", "3"),
+]
 
 
 def _commands() -> list[list[str]]:
@@ -51,6 +55,8 @@ def _commands() -> list[list[str]]:
         cmds.append(["convolve", name, "one", "--limit", "10"])
         cmds.append(["eval", name, "12"])
     cmds.append(["series", "cor-sigmak", "--s", "3.5"])
+    for name, bound in _SERIES_BOUNDS:
+        cmds.append(["series", name, "--s", bound])
     return cmds
 
 

@@ -163,7 +163,8 @@ class TestTabulate:
 
     def test_builtins_against_oracles(self):
         # The window reaches 2**10 and 3**6.  The tabulator and the point
-        # evaluator of a multiplicative builtin share g(p, a); these oracles do not.
+        # evaluator of a multiplicative builtin share the prime-power values
+        # derived from its Euler exponents; these oracles do not.
         limit = 2**10
         sieve = build_sieve(limit)
         cache = {}

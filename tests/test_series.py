@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -105,6 +107,23 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(2, 0.0)
 
+    def test_huge_real_part(self):
+        # The remainder bound is evaluated in log space: its head overflows
+        # for |s| beyond about 2*10**12 while N**(-Re(s)-25) underflows.
+        for s in (2.5e12, 1e13, 1e200, 1e308, 1e13 + 1j):
+            est = zeta(s)
+            assert est.value == 1, s
+            assert est.tail_bound == 0.0 and math.isfinite(est.rounding_bound), s
+
+    def test_nonpositive_integers(self):
+        # a zero factor s + m makes the remainder bound exactly 0
+        with mpmath.workprec(200):
+            for s in (0, -2, -3):
+                est = zeta(s)
+                assert est.tail_bound == 0.0
+                err = abs(mpmath.mpc(est.value) - mpmath.zeta(s))
+                assert err <= est.rounding_bound, (s, err)
+
 
 class TestPrimeF:
     def test_frozen_value_at_1(self):
@@ -144,6 +163,17 @@ class TestPrimeF:
         oracle = sum(1.0 / (complex(p) ** (s + 1) - p) for p in ps)
         est = prime_F(s, 2000)
         assert abs(est.value - oracle) <= 1e-13
+
+    def test_overflowing_powers_count_as_zero(self):
+        # p**(s+1) overflows for p >= 7 at Re(s) = 400 and for every p at 10**6;
+        # those terms count as 0, without warnings, within rounding_bound.
+        ps = naive_primes_up_to(100)
+        with mpmath.workprec(200), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (400 + 1j, 400, 1023.5, 1e6, 1e6 + 1j):
+                est = prime_F(s, 100)
+                exact = mpmath.fsum(1 / (mpmath.mpf(p) ** (mpmath.mpc(s) + 1) - p) for p in ps)
+                assert abs(mpmath.mpc(est.value) - exact) <= est.rounding_bound, s
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
@@ -259,6 +289,14 @@ class TestCheckSeriesIdentity:
             for sieve in (build_sieve(limit), build_sieve(max(limit, prime_limit))):
                 assert check_series_identity("cor-tau", 3.5, limit, prime_limit, 1e-3, sieve=sieve) == r
 
+    def test_sigmak_with_k0_matches_tau(self, sieve_1e6, cache_1e6):
+        a = check_series_identity("cor-tau", 5, 10**4, 10**4, 1e-3, sieve=sieve_1e6, cache=cache_1e6)
+        b = check_series_identity(
+            "cor-sigmak", 5, 10**4, 10**4, 1e-3, k=0, sieve=sieve_1e6, cache=cache_1e6
+        )
+        assert a.lhs == b.lhs
+        assert abs(a.rhs - b.rhs) <= 1e-15
+
     def test_half_plane_enforced(self):
         with pytest.raises(OutOfDomainError):
             check_series_identity("thm3.3", 1.5, 100, 100, 1e-6)
@@ -266,6 +304,23 @@ class TestCheckSeriesIdentity:
             check_series_identity("cor-phi", 2.5, 100, 100, 1e-6)
         with pytest.raises(OutOfDomainError):
             check_series_identity("cor-sigmak", 3.5, 100, 100, 1e-6, k=2)
+        # every preset, at the bound its formula states and half a unit inside
+        k = 2
+        for name, formula in list_series_presets():
+            bound = re.search(r"Re\(s\) > ([\w+]+)", formula).group(1)
+            x = k + 2.0 if bound == "k+2" else float(bound)
+            with pytest.raises(OutOfDomainError, match=re.escape(f"Re(s) > {x}, got")):
+                check_series_identity(name, x, 100, 100, 1e-6, k=k)
+            check_series_identity(name, x + 0.5, 100, 100, 1e-6, k=k)
+
+    def test_far_right_points(self):
+        # zeta and F at Re(s) where head overflows or p**(s+1) does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = check_series_identity("thm3.3", 400 + 1j, 100, 100, 1e-6)
+            assert r.passed and r.abs_error <= 1e-130, r.abs_error
+            r = check_series_identity("thm3.3", 1e13, 100, 100, 1e-6)
+            assert r.passed and r.lhs == r.rhs == 0
 
     def test_zeta_region_still_binds_inside_half_plane(self):
         # Re(s) = 2.1 is inside the thm3.3 half-plane, and zeta(1.1) is evaluated there
@@ -299,6 +354,29 @@ class TestCheckSeriesIdentity:
         assert names == [
             "lemma-Fld", "thm3.3", "cor-tau", "cor-mu", "cor-phi", "cor-sigma", "cor-sigmak",
         ]
+
+
+# Exponents e_j with sum f(n)/n^s = prod_j zeta(s-j)**e_j, transcribed by hand
+# from the Dirichlet series of each function.
+_EULER = {
+    "mu": {0: -1},
+    "tau": {0: 2},
+    "phi": {1: 1, 0: -1},
+    "sigma": {0: 1, 1: 1},
+    "sigma_0": {0: 2},
+    "sigma_3": {0: 1, 3: 1},
+}
+
+
+@pytest.mark.parametrize("name", list(_EULER))
+def test_multiplicative_series_is_zeta_product(name):
+    # Re(s) = max(j) + 4 puts the tail past N = 10**4 below 1e-10
+    e = _EULER[name]
+    t = tabulate(parse_expression(name), 10**4)
+    for s in (max(e) + 4, max(e) + 4 + 2j):
+        lhs = dirichlet_partial_sum(t, s).value
+        rhs = math.prod(zeta(s - j, 1e-13).value ** ej for j, ej in e.items())
+        assert abs(lhs - rhs) <= 1e-10, (name, s, abs(lhs - rhs))
 
 
 class TestSeriesEstimateType:
