@@ -63,6 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, IO, Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
@@ -152,17 +154,27 @@ class TabulatedFunction:
         head = ", ".join(str(self[n]) for n in range(1, min(self.limit, 6) + 1))
         return f"TabulatedFunction(limit={self.limit}, values=[{head}, ...])"
 
+    def _value_strs(self) -> Iterator[str]:
+        """The values at 1..limit as 'p/q' in lowest terms.  An int numerator is
+        formatted as p num[n]/g over q n**k/g with g their gcd, without a Fraction."""
+        p, q, k, num = self._c.numerator, self._c.denominator, self._k, self._vals
+        for n in range(1, self.limit + 1):
+            v = num[n]
+            if type(v) is int:
+                a, b = p * v, q * n**k
+                g = math.gcd(a, b)
+                yield f"{a // g}/{b // g}"
+            else:
+                yield fraction_to_str(self[n])
+
     def to_csv(self, out: IO[str]) -> None:
         """CSV with columns n, value (value always as 'p/q')."""
         w = csv.writer(out)
         w.writerow(["n", "value"])
-        w.writerows([n, fraction_to_str(v)] for n, v in enumerate(self.values(), 1))
+        w.writerows(enumerate(self._value_strs(), 1))
 
     def to_json_obj(self) -> dict:
-        return {
-            "limit": self.limit,
-            "values": [fraction_to_str(v) for v in self.values()],
-        }
+        return {"limit": self.limit, "values": list(self._value_strs())}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -669,27 +681,44 @@ def resolve_builtin(name: str) -> BuiltinImpl:
 # ---------------------------------------------------------------------------
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _kernel_arrays(u: list, v: list, limit: int) -> tuple:
+    """u and v as numpy arrays of one dtype: int64 under the bound of _convolve_padded, else object."""
+    if set(map(type, u)) | set(map(type, v)) == {int}:
+        try:
+            A, B = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        except OverflowError:  # an int beyond int64
+            pass
+        else:
+            size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
+            if size(A) * size(B) * math.isqrt(4 * limit) <= _INT64_MAX:
+                return A, B
+    return np.array(u, dtype=object), np.array(v, dtype=object)
+
+
 def _convolve_padded(a: list, b: list, limit: int) -> list:
-    # Harmonic double loop: O(N log N) exact operations.  Put the sparser
-    # factor outside; convolution is commutative.
-    na = sum(1 for v in a if v != 0)
-    nb = sum(1 for v in b if v != 0)
-    if nb < na:
-        a, b = b, a
-    out: list = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        ad = a[d]
-        if ad == 0:
-            continue
-        n = d
-        q = 1
-        while n <= limit:
-            bq = b[q]
-            if bq != 0:
-                out[n] += ad * bq
-            n += d
-            q += 1
-    return out
+    """Padded numerators of the Dirichlet convolution of padded numerators a and b.
+
+    The pairs d * q = n <= N split at r = isqrt(N), as in the Dirichlet
+    hyperbola method: every d <= r adds a[d] * b[1..N//d] into out[d::d], and
+    every q <= N//(r + 1) adds b[q] * a[r+1..N//q] into the n = q*d with d > r.
+    That is about 2 sqrt(N) numpy slice operations.  They run in int64 when
+    every numerator is a Python int and max|a| max|b| floor(2 sqrt(N)) fits:
+    tau(n) <= 2 sqrt(n) bounds the number of terms of every partial sum, so
+    nothing wraps.  Otherwise (Fractions, or ints beyond that bound) they run
+    in object dtype on the Python values.  Never a float dtype: an int64 cast
+    would truncate a Fraction silently, hence the type check.
+    """
+    A, B = _kernel_arrays(a[1:], b[1:], limit)  # values at 1..N; index 0 is filler
+    out = np.zeros(limit + 1, dtype=A.dtype)
+    r = math.isqrt(limit)
+    for d in (np.flatnonzero(A[:r]) + 1).tolist():
+        out[d::d] += A[d - 1] * B[: limit // d]
+    for q in (np.flatnonzero(B[: limit // (r + 1)]) + 1).tolist():
+        out[q * (r + 1) : q * (limit // q) + 1 : q] += B[q - 1] * A[r : limit // q]
+    return out.tolist()
 
 
 def _times(num: list, s: int, d: int) -> list:

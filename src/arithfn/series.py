@@ -23,28 +23,37 @@ exp(w) by |dw| |exp(w)| to first order, so exp(-s log n) gains
 (4 + 1) u |s| log n from log n (4u) and the product with s (u per component).
 If each computed term t' obeys |t' - t| <= e u |t|, the value obeys
 
-    |value - sum t| <= ulp(Re value)/2 + ulp(Im value)/2 + c u sum |t'|
+    |value - sum t| <= ulp(Re value)/2 + ulp(Im value)/2 + u sum (e + 1) |t'|
 
-with c = e + 1, the extra unit covering second-order terms and the use of the
-computed moduli.  SeriesEstimate.rounding_bound reports this; with N the
-largest n or p summed, e is:
+with e taken per term, the extra unit covering second-order terms and the
+use of the computed moduli.  SeriesEstimate.rounding_bound reports this; e is:
 
-- n**-s (_powers): 4 for real s (one pow); 11 + 5 |s| log N for complex s.
-- a(n) n**-s: that plus 2 (float() of a(n), one product).
+- n**-s (_powers): 4 for real s (one pow); 11 + 5 |s| log n for complex s,
+  each power charged for its own n.
+- a(n) n**-s: that plus 2 (float() of a(n), one product).  Zero coefficients
+  are skipped; a(n) = c num[n]/n**k is one int true division (or float() of
+  a Fraction), so it is correctly rounded.
+- Below 2**-1022 relative errors do not hold: the rounding of a subnormal
+  costs up to 2**-1073 per component, absolutely.  rounding_bound therefore
+  adds 2**-1071 max(1, |a(n)|) max(1, |n**-s|) for each term whose
+  coefficient or power lies there, 0 included, and 2**-1071 for each product
+  that does.  A complex power that underflows to 0 is charged that alone, so
+  zeta(1e200 + 1j) reports a bound near u.  A nonzero coefficient below
+  2**-1075 rounds to 0 and is skipped with the zeros.
 - zeta's corrections start from x = N**-s, the last power (e_x above); an
   operation costs k = 1 for real s and 6 for complex s (a complex product is
   within sqrt(5) u), and s + m costs 1.  N**-s/2 is exact: e = e_x.
   N**(1-s)/(s-1) = x N/(s-1): e = e_x + 1 + 2k.  T_j = (B_2j/(2j)!) g_j with
   g_1 = s x/N and g_{j+1} = g_j (s+2j-1)(s+2j)/N**2 (N**2 is exact): 2k for
   g_1, 2 + 3k per step and 1 + k for the coefficient, so e = e_x + j (2+3k) - 1.
-- 1/(p**(s+1) - p): s + 1 costs u |s+1| log N through the pow, so
-  a = p**(s+1) has relative error 4 + |s+1| log N for real s and
-  11 + 6 |s+1| log N for complex s (log p, product and exp).  Subtracting p
-  multiplies that by |a|/|a - p| <= C = 1/(1 - 2**-Re(s)) and adds u; the
-  reciprocal adds u for real s and 6u for complex s.  So e is
-  C (4 + |s+1| log N) + 2, or C (11 + 6 |s+1| log N) + 7.  A term whose power
-  overflows is counted as 0: its modulus is below 1/(2**1024 - p) < 2**-1023,
-  which rounding_bound adds once per such term.
+- 1/(p**(s+1) - p), with N the largest p summed: s + 1 costs u |s+1| log N
+  through the pow, so a = p**(s+1) has relative error 4 + |s+1| log N for
+  real s and 11 + 6 |s+1| log N for complex s (log p, product and exp).
+  Subtracting p multiplies that by |a|/|a - p| <= C = 1/(1 - 2**-Re(s)) and
+  adds u; the reciprocal adds u for real s and 6u for complex s.  So e is
+  C (4 + |s+1| log N) + 2, or C (11 + 6 |s+1| log N) + 7.  A term whose
+  power overflows is counted as 0: its modulus is below
+  1/(2**1024 - p) < 2**-1023, which rounding_bound adds once per such term.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ from .factor import SieveTable, _primes_from, build_sieve, primes_up_to
 ComplexLike = Union[int, float, complex]
 
 _U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1022  # smallest normal float64
+_UNDERFLOW = 2.0**-1071  # absolute error charged per term below _TINY ("Rounding" above)
 
 # B_2, B_4, ..., B_26 as exact (numerator, denominator); zeta adds the terms of
 # B_2j/(2j)! for j <= 12 and bounds its remainder by the 13th.
@@ -105,20 +116,26 @@ class SeriesEstimate:
             raise ValueError("rounding_bound must be nonnegative")
 
 
-def _sum_terms(terms: np.ndarray) -> tuple[complex, float]:
-    """Correctly rounded sum of a float64 or complex128 term array, and the sum of the moduli.
+def _sum_terms(terms: np.ndarray, e, c: float = 0.0) -> tuple[complex, float]:
+    """Correctly rounded sum of a float64 or complex128 term array, and its rounding bound.
 
     Each component is one math.fsum over the whole array, fed through a
     memoryview: the exact sum of the computed terms, rounded once.  zeta by
     Euler-Maclaurin summation (Edwards, Riemann's Zeta Function, 1974, 6.4)
-    needs at most 2**16 terms, so every sum of the module is one array.
+    needs at most 2**16 terms, so every sum of the module is one array.  The
+    bound is half an ulp of each component plus u sum (e_i + c + 1) |t_i|,
+    where e is the relative error of each term in units of u (an array) or of
+    all of them (a float).  The bound's own sum is taken in float: its
+    rounding is second order.
     """
     if np.iscomplexobj(terms):
         value = complex(math.fsum(memoryview(terms.real)), math.fsum(memoryview(terms.imag)))
-        return value, math.fsum(memoryview(np.abs(terms)))
-    value = math.fsum(memoryview(terms))
-    # sum |t| = sum t - 2 * (sum of the negative terms), which are usually few
-    return complex(value), value - 2.0 * math.fsum(memoryview(terms[terms < 0]))
+    else:
+        value = complex(math.fsum(memoryview(terms)))
+    mods = np.abs(terms)
+    total = float(np.sum(mods))
+    weighted = float(np.dot(mods, e)) if np.ndim(e) else e * total
+    return value, _half_ulps(value) + _U * (weighted + (c + 1.0) * total)
 
 
 def _half_ulps(z: complex) -> float:
@@ -126,15 +143,24 @@ def _half_ulps(z: complex) -> float:
     return 0.5 * (math.ulp(z.real) + math.ulp(z.imag))
 
 
-def _powers(limit: int, s: complex) -> np.ndarray:
-    """n**(-s) for 1 <= n <= limit: one pow for real s, exp(-s log n) otherwise."""
-    ns = np.arange(1, limit + 1, dtype=np.float64)
-    return ns ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(ns))
+def _powers(ns: np.ndarray, s: complex) -> tuple[np.ndarray, Union[float, np.ndarray]]:
+    """n**(-s) at every n of the float array ns, with their relative error in units of u.
 
-
-def _powers_error(s: complex, limit: int) -> float:
-    """Relative error of _powers, in units of 2**-53, for n <= limit."""
-    return 4.0 if s.imag == 0.0 else 11.0 + 5.0 * abs(s) * math.log(limit)
+    One pow for real s: 4 units for all.  exp(-s log n) otherwise: an array
+    of 11 + 5 |s| log n units, and 0 where the power underflows to 0, which
+    the underflow charge of "Rounding" above covers instead.
+    """
+    if s.imag == 0.0:
+        return ns ** (-s.real), 4.0
+    e = np.log(ns)
+    with np.errstate(over="ignore"):  # -s log n beyond the float range: the power is 0
+        powers = np.exp(-s * e)
+        # 11 + 5 |s| log n, in place of log n for peak memory
+        e *= 5.0
+        e *= abs(s)
+    e += 11.0
+    e[powers == 0] = 0.0
+    return powers, e
 
 
 def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
@@ -167,7 +193,8 @@ def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
         n *= 2
     if n > _ZETA_MAX_N:
         raise ValueError(f"zeta({z}) cannot meet target_precision {target_precision} with N <= {_ZETA_MAX_N}")
-    powers = _powers(n, z)
+    powers, e = _powers(np.arange(1, n + 1, dtype=np.float64), z)
+    e = np.broadcast_to(e, powers.shape)
     w = z if z.imag else re  # real arithmetic for real s
     x, n_f = powers[-1].item(), float(n)
     corrections = [x * n_f / (w - 1), x / 2]
@@ -176,12 +203,13 @@ def zeta(s: ComplexLike, target_precision: float = 1e-10) -> SeriesEstimate:
         corrections.append(c * g)
         if g:  # once x underflows every correction is 0, and (w+2j-1)(w+2j) may overflow
             g = g * ((w + 2 * j - 1) * (w + 2 * j)) / (n_f * n_f)
-    value, magnitude = _sum_terms(np.concatenate((powers[:-1], corrections)))
     k = 6.0 if z.imag else 1.0  # cost of one operation; extra[i] is e - e_x of corrections[i]
     extra = [1.0 + 2.0 * k, 0.0] + [j * (2.0 + 3.0 * k) - 1.0 for j in range(1, len(_EM_COEFFS))]
-    weighted = (_powers_error(z, n) + 1.0) * magnitude + sum(e * abs(t) for e, t in zip(extra, corrections))
+    terms = np.concatenate((powers[:-1], corrections))
+    value, rounding = _sum_terms(terms, np.concatenate((e[:-1], e[-1] + np.array(extra))))
     tail = math.exp(log_head - (re + 25) * math.log(n))
-    return SeriesEstimate(value, n, tail, _half_ulps(value) + _U * weighted)
+    underflow = _UNDERFLOW * np.count_nonzero(np.abs(powers[:-1]) < _TINY)
+    return SeriesEstimate(value, n, tail, rounding + underflow)
 
 
 def prime_F(
@@ -209,7 +237,6 @@ def prime_F(
         terms = 1.0 / (power - ps)
     overflowed = ~np.isfinite(power)
     terms[overflowed] = 0.0
-    value, magnitude = _sum_terms(terms)
     c = 1.0 / (1.0 - 2.0 ** (-re))
     tail = c * prime_limit ** (-re) / re
     log_n = math.log(ps.max()) if ps.size else 0.0
@@ -217,8 +244,9 @@ def prime_F(
         e = c * (4.0 + abs(z + 1) * log_n) + 2.0
     else:
         e = c * (11.0 + 6.0 * abs(z + 1) * log_n) + 7.0
+    value, rounding = _sum_terms(terms, e)
     dropped = int(np.count_nonzero(overflowed)) * 2.0**-1023
-    return SeriesEstimate(value, prime_limit, tail, _half_ulps(value) + (e + 1.0) * _U * magnitude + dropped)
+    return SeriesEstimate(value, prime_limit, tail, rounding + dropped)
 
 
 def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimate:
@@ -226,13 +254,46 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
 
     tail_bound is reported as 0.0 ("truncation only"): coefficient growth is
     not bounded in-code, so the cutoff a.limit is the only tail information.
+    A coefficient beyond the float64 range raises ValueError naming its n.
     """
     z = _as_finite_complex(s)
-    coeffs = np.array(a.values(), dtype=np.float64)
-    limit = a.limit
-    value, magnitude = _sum_terms(coeffs * _powers(limit, z))
-    c = _powers_error(z, limit) + 3.0
-    return SeriesEstimate(value, limit, 0.0, _half_ulps(value) + c * _U * magnitude)
+    terms, e, underflow = _partial_terms(a, z)
+    value, rounding = _sum_terms(terms, e, 2.0)
+    return SeriesEstimate(value, a.limit, 0.0, rounding + underflow)
+
+
+def _partial_terms(a: TabulatedFunction, s: complex) -> tuple[np.ndarray, Union[float, np.ndarray], float]:
+    """a(n) n**-s at the n with a(n) != 0, the relative error of the powers and the
+    underflow charge.  Each float a(n) is correctly rounded: float() of the values
+    when k = 0 and c is an integer, else one int true division p num[n]/(q n**k)
+    from the numerators of c = p/q (or float() of a Fraction numerator's
+    quotient), without building the Fraction a(n)."""
+    p, q, k, num = a._c.numerator, a._c.denominator, a._k, a._vals
+    try:
+        if k == 0 and q == 1:
+            coeffs = np.array(a.values(), dtype=np.float64)
+            ns = np.flatnonzero(coeffs)
+            coeffs = coeffs[ns]
+            ns = ns + 1.0
+        else:
+            ns = [n for n in range(1, a.limit + 1) if num[n]]
+            coeffs = np.array([p * num[n] / (q * n**k) for n in ns], dtype=np.float64)
+            ns = np.array(ns, dtype=np.float64)
+    except OverflowError:
+        for n in range(1, a.limit + 1):
+            try:
+                float(a[n])
+            except OverflowError:
+                raise ValueError(f"coefficient at n = {n} is beyond the float64 range") from None
+        raise
+    powers, e = _powers(ns, s)
+    del ns  # peak memory: the n are not needed past their powers
+    # Below the normal range relative errors do not hold ("Rounding" above).
+    tiny = (np.abs(coeffs) < _TINY) | (np.abs(powers) < _TINY)
+    weight = math.fsum(np.maximum(np.abs(coeffs[tiny]), 1.0) * np.maximum(np.abs(powers[tiny]), 1.0))
+    terms = np.multiply(powers, coeffs, out=powers)  # in place, for peak memory
+    weight += np.count_nonzero(np.abs(terms) < _TINY)
+    return terms, e, _UNDERFLOW * weight
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,35 @@ def test_failed_and_attempted_sum_over_runs():
     change = [dict(r, failed=i % 2) for i, r in enumerate(runs(PARENT, attempted=7))]
     lines = bench_pairs.summarise(SPEC, parent, change)
     assert lines[-2:] == ["parent failed/attempted = 0/70", "change failed/attempted = 5/70"]
+
+
+def test_all_runs_every_workload_from_one_export(monkeypatch, tmp_path, capsys):
+    exports, calls = [], []
+
+    def export_tree(rev):
+        exports.append(rev)
+        return tmp_path
+
+    def run_once(tree, workload, seed):
+        calls.append((tree == tmp_path, workload, seed))
+        value = 1.0 if tree == tmp_path else 0.5  # the change side is faster everywhere
+        names = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
+        metrics = {m: {"value": value} for m in names}
+        return {"metrics": metrics, "failed": 0, "attempted": 4}
+
+    monkeypatch.setattr(bench_pairs, "export_tree", export_tree)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "all", "--pairs", "2", "--seed", "7"]) == 0
+    assert exports == ["HEAD"]
+    # pair 0 runs the parent first, pair 1 the change first, in every workload
+    expected = []
+    for i, first_is_parent in ((0, True), (1, False)):
+        for w in bench_pairs.WORKLOADS:
+            expected += [(first_is_parent, w, 7 + i), (not first_is_parent, w, 7 + i)]
+    assert calls == expected
+    out = capsys.readouterr().out.splitlines()
+    headers = [line for line in out if line.startswith("workload ")]
+    assert headers == [f"workload {w}, parent HEAD, 2 pairs from seed 7" for w in bench_pairs.WORKLOADS]
+    walls = [line.split() for line in out if line.startswith("wall_s")]
+    assert len(walls) == 4 and all(f[5] == "2/2" for f in walls)

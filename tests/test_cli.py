@@ -229,6 +229,14 @@ class TestOversizedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_coefficient_beyond_float_range_exits_two(self, capsys):
+        # sigma_64(n) delta(n) passes 1.8e308 first at n = 54144
+        argv = ["series", "cor-sigmak", "--k", "64", "--s", "67", "--limit", "100000", "--primes", "1000"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficient at n = 54144 is beyond the float64 range\n"
+
     def test_memory_error_exits_two(self, capsys, monkeypatch):
         def no_memory(limit):
             raise MemoryError

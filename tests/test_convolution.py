@@ -1,8 +1,10 @@
 import dataclasses
 import io
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arithfn import (
@@ -260,6 +262,88 @@ class TestDirichletConvolve:
         c = dirichlet_convolve(a, b)
         for n in range(1, 201):
             assert c[n] == naive_convolve_at(naive_mobius, lambda m: naive_sigma_k(m, 1), n)
+
+
+# Window sizes of the kernel tests: the smallest, one square and r * (r + 1),
+# where the two halves of the split at r = isqrt(N) meet exactly.
+KERNEL_LIMITS = (1, 2, 3, 16, 10 * 11, 31 * 32)
+INT64_MAX = 2**63 - 1
+
+
+def kernel_dtype(u, v):
+    return convolution._kernel_arrays(u, v, len(u))[0].dtype
+
+
+def assert_convolves(u, v):
+    """dirichlet_convolve of the value lists u, v against divisor enumeration."""
+    limit = len(u)
+    c = dirichlet_convolve(TabulatedFunction.from_values(u), TabulatedFunction.from_values(v))
+    for n in range(1, limit + 1):
+        assert c[n] == naive_convolve_at(lambda d: u[d - 1], lambda q: v[q - 1], n), n
+    if all(type(x) is int for x in u + v):
+        assert all(type(x) is int for x in c.values())
+    return c
+
+
+class TestKernel:
+    """The numpy kernel in int64 under its bound and in object dtype otherwise."""
+
+    @pytest.mark.parametrize("limit", KERNEL_LIMITS)
+    def test_small_ints_run_in_int64(self, limit):
+        rng = random.Random(limit)
+        u = [rng.randint(-9, 9) for _ in range(limit)]
+        v = [rng.randint(-9, 9) for _ in range(limit)]
+        assert kernel_dtype(u, v) == np.int64
+        assert_convolves(u, v)
+
+    @pytest.mark.parametrize("limit", KERNEL_LIMITS)
+    def test_guard_edge(self, limit):
+        # max|a| max|b| floor(2 sqrt(N)) <= 2**63 - 1 runs in int64; one more in object dtype.
+        rng = random.Random(limit + 1)
+        top = INT64_MAX // (7 * math.isqrt(4 * limit))
+        for size, dtype in ((top, np.int64), (top + 1, object)):
+            u = [rng.choice((size, -size, rng.randint(-size, size))) for _ in range(limit)]
+            u[rng.randrange(limit)] = -size  # so max|u| is size exactly
+            v = [rng.randint(-7, 7) for _ in range(limit - 1)] + [7]
+            assert kernel_dtype(u, v) == dtype
+            assert_convolves(u, v)
+
+    def test_sums_beyond_int64_stay_exact(self):
+        rng = random.Random(3)
+        for limit in KERNEL_LIMITS:
+            u = [rng.randint(-(2**70), 2**70) for _ in range(limit)]
+            v = [rng.randint(2**62, 2**63) for _ in range(limit)]
+            assert kernel_dtype(u, v) == object
+            c = assert_convolves(u, v)
+            if limit > 1:
+                assert max(abs(x) for x in c.values()) > 2**63
+
+    @pytest.mark.parametrize("limit", KERNEL_LIMITS)
+    def test_fraction_numerators_are_never_cast_to_int(self, limit):
+        # Cast to int64, 3/2 would become 1 and every sum below would be wrong.
+        rng = random.Random(limit + 2)
+        u = [rng.choice((Fraction(3, 2), Fraction(-5, 7), 2, 0)) for _ in range(limit)]
+        v = [rng.randint(-3, 3) for _ in range(limit)]
+        assert kernel_dtype(u, v) == kernel_dtype(v, u) == object
+        assert_convolves(u, v)
+        assert_convolves(v, u)
+        assert_convolves(u, u)
+
+    @pytest.mark.parametrize("limit", KERNEL_LIMITS)
+    def test_zero_and_single_nonzero_tables(self, limit):
+        rng = random.Random(limit + 3)
+        zero = [0] * limit
+        ones = [1] * limit
+        for i in {0, limit // 2, limit - 1}:
+            single = [0] * limit
+            single[i] = rng.choice((5, -(2**64), Fraction(2, 3)))
+            assert_convolves(single, ones)
+            assert_convolves(ones, single)
+            assert_convolves(single, single)
+        # an all-zero side with ints beyond int64 on the other: every sum is 0
+        c = assert_convolves(zero, [2**70] * limit)
+        assert c.values() == [0] * limit
+        assert_convolves(zero, zero)
 
 
 class TestConvolveAt:

@@ -110,10 +110,24 @@ class TestZeta:
     def test_huge_real_part(self):
         # The remainder bound is evaluated in log space: its head overflows
         # for |s| beyond about 2*10**12 while N**(-Re(s)-25) underflows.
-        for s in (2.5e12, 1e13, 1e200, 1e308, 1e13 + 1j):
-            est = zeta(s)
-            assert est.value == 1, s
-            assert est.tail_bound == 0.0 and math.isfinite(est.rounding_bound), s
+        # Every power past n = 1 underflows to 0, and the rounding bound
+        # charges each power for its own n, so it stays near u.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (2.5e12, 1e13, 1e200, 1e308, 1e13 + 1j, 1e200 + 1j, 1e308 + 1j):
+                est = zeta(s)
+                assert est.value == 1, s
+                assert est.tail_bound == 0.0 and est.rounding_bound <= 1e-14, s
+
+    def test_rounding_bound_charges_each_power_for_its_own_n(self):
+        # Terms decaying like n**-50 leave the bound at a few ulps of 1;
+        # a bound charging every term 5 |s| log N read 7.8e-14 at 50 + 1j.
+        with mpmath.workprec(200):
+            for s in (50 + 1j, 50 - 3j, 30 + 20j):
+                est = zeta(s)
+                assert est.rounding_bound <= 4e-15, s
+                err = abs(mpmath.mpc(est.value) - mpmath.zeta(mpmath.mpc(s)))
+                assert err <= est.tail_bound + est.rounding_bound, (s, err)
 
     def test_nonpositive_integers(self):
         # a zero factor s + m makes the remainder bound exactly 0
@@ -252,6 +266,17 @@ class TestCorrectRounding:
         values = [2**64 + 1, -(2**64 + 1), 2**53 + 1, 10**30 + 12345, Fraction(1, 3), Fraction(-7, 10**20), 5]
         t = TabulatedFunction.from_values(values)
         assert dirichlet_partial_sum(t, 0).value == math.fsum(float(v) for v in t.values())
+
+    def test_scaled_coefficients_convert_as_float_does(self):
+        # c num[n]/n**k is built from the numerators as one int division
+        for text in ("1/3 . ld", "-2/7 . id_-3 . delta", "mangoldt:delta", "mu . delta"):
+            t = tabulate(parse_expression(text), 3000)
+            assert dirichlet_partial_sum(t, 0).value == math.fsum(float(v) for v in t.values()), text
+
+    def test_coefficient_beyond_float_range_names_n(self):
+        t = TabulatedFunction.from_values([1, 0, 10**400, Fraction(10**400, 3)])
+        with pytest.raises(ValueError, match="n = 3 "):
+            dirichlet_partial_sum(t, 2)
 
     def test_rounding_bound_validated(self):
         assert SeriesEstimate(1.0, 10, 0.0).rounding_bound == 0.0

@@ -1,6 +1,7 @@
-"""Alternating parent/change runs of one benchmark workload, summarised per metric.
+"""Alternating parent/change runs of benchmark workloads, summarised per metric.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload catalog --pairs 10 --seed 100
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload all --pairs 5 --seed 100
 
 The change side is the working tree that holds this script; the parent side
 is REV, exported with ``git archive`` into a temporary directory (honouring
@@ -9,7 +10,8 @@ TMPDIR) that is removed on exit.  An export, unlike a
 killed.  Both trees are byte-compiled first.  Pair i runs
 ``perfbench/run.py --workload W --seed S+i --trace 0`` once in each tree, the
 parent first on even i, and reads the JSON object on the last line of each
-run's output.
+run's output.  With ``--workload all`` each pair runs the four workloads in
+turn, all from the one export, and one table is printed per workload.
 
 For every end-to-end metric of BENCHMARK.json it prints both medians, the
 parent's interquartile range, the change's wins out of the pairs run (ties
@@ -89,33 +91,39 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
     return out
 
 
+WORKLOADS = ("catalog", "series", "points", "window")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workload", required=True, choices=("catalog", "series", "points", "window"))
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    runs = {w: ([], []) for w in workloads}  # workload -> (parent runs, change runs)
     tree = export_tree(args.parent)
     try:
         for t in (tree, ROOT):
             compile_tree(t)
-        parent, change = [], []
         for i in range(args.pairs):
             seed = args.seed + i
-            order = [(tree, parent), (ROOT, change)]
-            if i % 2:
-                order.reverse()
-            for t, results in order:
-                results.append(run_once(t, args.workload, seed))
+            for w in workloads:
+                order = [(tree, runs[w][0]), (ROOT, runs[w][1])]
+                if i % 2:
+                    order.reverse()
+                for t, results in order:
+                    results.append(run_once(t, w, seed))
             print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(tree, ignore_errors=True)
-    print(f"workload {args.workload}, parent {args.parent}, {args.pairs} pairs from seed {args.seed}")
-    print("\n".join(summarise(spec, parent, change)))
+    for w in workloads:
+        print(f"workload {w}, parent {args.parent}, {args.pairs} pairs from seed {args.seed}")
+        print("\n".join(summarise(spec, *runs[w])))
     return 0
 
 
