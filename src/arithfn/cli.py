@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -74,6 +75,7 @@ def _positive_float(text: str) -> float:
     return v
 
 
+@functools.cache  # one tree per process: building it costs about 25 parses
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -35,7 +35,7 @@ The form is closed under every operation on numerators alone:
         convolution (the compmult-distr law h.(u * v) = (h.u) * (h.v))
     .   c1 c2, k1 + k2, numerators multiplied pointwise
     + - align to one k and one c, then add numerators; scalars change only c
-    ^-1 the Dirichlet inverse of c a/n**k is (1/c) a^-1/n**k, by the same law
+    ^-1 (c a/n**k)^-1 = (1/c) a^-1/n**k by the same law, a^-1 by Newton's iteration
 
 Comparison aligns the same way and compares numerators.  Values are built
 only when read (TabulatedFunction documents the read rule), so Fractions
@@ -182,10 +182,15 @@ class TabulatedFunction:
     @classmethod
     def from_json(cls, text: str) -> "TabulatedFunction":
         obj = json.loads(text)
-        vals = [fraction_from_str(s) for s in obj["values"]]
-        if len(vals) != obj["limit"]:
+        vals = [0]
+        for n, s in enumerate(obj["values"], 1):
+            try:  # "p/1" becomes an int without a Fraction
+                vals.append(int(s[:-2]) if s.endswith("/1") else as_exact(fraction_from_str(s)))
+            except (AttributeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"malformed value at n = {n}: {s!r}") from None
+        if len(vals) - 1 != obj["limit"]:
             raise ValueError("limit does not match number of values")
-        return cls.from_values(vals)
+        return cls(len(vals) - 1, vals)
 
 
 _ONE = Fraction(1)
@@ -563,12 +568,6 @@ class MangoldtOf:
     base: LAdditiveFunction
 
 
-def _prime_ratio(fn: LAdditiveFunction, p: int) -> Rational:
-    """f(p)/h(p), the value of Lambda_f at every power of p."""
-    f, h = fn.at_prime(p)
-    return as_exact(Fraction(f, h))
-
-
 def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> list:
     """n * Lambda_f(n) on [1, limit], padded: (f(p)/h(p)) * p**j at every p**j, else 0.
 
@@ -603,7 +602,8 @@ def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> 
     fact = factorize(n, sieve)
     if len(fact) != 1:
         return Fraction(0)
-    return Fraction(_prime_ratio(m.base, fact.factors[0].prime))
+    f, h = m.base.at_prime(fact.factors[0].prime)
+    return Fraction(f, h)
 
 
 def _prime_power_supported(fn: LAdditiveFunction) -> BuiltinImpl:
@@ -844,29 +844,27 @@ def convolve_at(a_expr: Expr, b_expr: Expr, n: int) -> Fraction:
 def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
     """The Dirichlet inverse on [1, limit]: (a * inverse)(n) = eps(n).
 
-    The loop runs on the numerators: (c u/n**k)^-1 = (1/c) u^-1/n**k by
-    compmult-distr, since h = id**-k fixes eps.
+    It runs on the numerators u, since (c u/n**k)^-1 = (1/c) u^-1/n**k by
+    compmult-distr, as Newton's iteration b <- b - b * (u * b - eps): b exact
+    on [1, m] makes the new b exact on [1, (m + 1)**2 - 1].  Int numerators
+    run as B = L b, L = u(1)**N.bit_length(): every iterate's denominator at n
+    divides u(1)**(Omega(n) + 1) and Omega(n) < N.bit_length(), so each // L
+    is exact.  Other numerators take L = u(1) and true division.
     """
-    av = a._vals
-    a1 = av[1]
-    if a1 == 0 or a._c == 0:
+    u, limit = a._vals, a.limit
+    if u[1] == 0 or a._c == 0:
         raise ValueError("not invertible: value at 1 is 0")
-    limit = a.limit
-    inv1 = a1 if a1 in (1, -1) else 1 / Fraction(a1)  # an int table stays int
-    # Harmonic loop: out[n] collects a(d) out[n/d] over d | n, d > 1, from the
-    # smaller n/d before the loop reaches n; then out[n] = -out[n]/a(1).
-    out: list = [0] * (limit + 1)
-    out[1] = inv1
-    for n in range(1, limit + 1):
-        if n > 1:
-            out[n] = -inv1 * out[n]
-        v = out[n]
-        if v == 0:
-            continue
-        for d in range(2, limit // n + 1):
-            if av[d] != 0:
-                out[n * d] += av[d] * v
-    return _scaled(limit, 1 / a._c, a._k, out)
+    ints = all(type(v) is int for v in u)
+    L = u[1] ** limit.bit_length() if ints else Fraction(u[1])
+    div = operator.floordiv if ints else operator.truediv
+    B, m = [0, div(L, u[1])], 1
+    while m < limit:
+        m = min(limit, (m + 1) ** 2 - 1)
+        B += [0] * (m + 1 - len(B))
+        E = _convolve_padded(u[: m + 1], B, m)
+        E[1] -= L
+        B = [x - div(y, L) for x, y in zip(B, _convolve_padded(B, E, m))]
+    return _scaled(limit, 1 / (a._c * L), a._k, B)
 
 
 def first_mismatch(

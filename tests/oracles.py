@@ -123,3 +123,24 @@ def fraction_sum_bracket(terms, bits: int = 256) -> tuple[Fraction, Fraction]:
         low += (num << bits) // den
         count += 1
     return Fraction(low, 1 << bits), Fraction(low + count, 1 << bits)
+
+
+def harmonic_inverse(values) -> list:
+    """Dirichlet inverse of the values at 1..N by the forward harmonic loop:
+    out[n] collects a(d) out[n/d] over d | n, d > 1, from the smaller n/d
+    before the loop reaches n; then out[n] = -out[n]/a(1)."""
+    limit = len(values)
+    a = [0, *values]
+    inv1 = 1 / Fraction(a[1])
+    out = [Fraction(0)] * (limit + 1)
+    out[1] = inv1
+    for n in range(1, limit + 1):
+        if n > 1:
+            out[n] = -inv1 * out[n]
+        v = out[n]
+        if v == 0:
+            continue
+        for d in range(2, limit // n + 1):
+            if a[d] != 0:
+                out[n * d] += a[d] * v
+    return out[1:]

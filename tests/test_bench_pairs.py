@@ -34,7 +34,17 @@ def test_eight_of_ten_wins_is_no_gain():
 def test_a_gap_inside_the_parents_iqr_is_no_gain():
     parent = [1.0 + 0.1 * i for i in range(10)]  # IQR 0.45
     change = [v - 0.01 for v in parent[:9]] + [5.0]
-    assert row(parent, change) == ("9/10", "no", "ok")
+    # the IQR is also wider than the bound (0.25 * 1.45), so the bound is unresolved
+    assert row(parent, change) == ("9/10", "no", "unresolved")
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better():
+    parent = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]  # median 2.0, IQR 1.5 > 0.5
+    assert row(parent, list(parent)) == ("0/10", "no", "unresolved")
+    # every pair is a win, but one run of the change ties the best run of the parent
+    assert row(parent, [0.9] * 9 + [1.0]) == ("10/10", "no", "unresolved")
+    assert row(parent, [0.9] * 10) == ("10/10", "no", "ok")
+    assert row(parent, [2.6] * 10) == ("3/10", "no", "WORSE")  # beyond the bound outranks the spread
 
 
 def test_a_median_thirty_percent_worse_breaks_the_bound():

@@ -275,6 +275,14 @@ class TestUsage:
     def test_subcommand_help(self, capsys):
         assert run(["verify", "--help"]) == 0
 
+    def test_usage_error_then_valid_command(self, capsys):
+        # One parser serves every call in a process; an error leaves it reusable.
+        assert cli.build_parser() is cli.build_parser()
+        assert run(["factor", "6", "--format", "xml"]) == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert run(["eval", "delta", "60"]) == 0
+        assert out_lines(capsys) == ["92"]
+
 
 class TestJsonRoundTripsViaCli:
     def test_verification_report(self, capsys):

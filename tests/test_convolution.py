@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
 from oracles import (
+    harmonic_inverse,
     leibniz_delta,
     naive_convolve_at,
     naive_mobius,
@@ -465,6 +467,23 @@ class TestOneRepresentation:
         assert hit == first_mismatch(copy, corrupted) == (60, Fraction(23, 15), Fraction(176, 105))
 
 
+# N on both sides of the bounds 1, 3, 15, 255 of the iteration's exact range.
+INVERSE_LIMITS = (1, 2, 3, 4, 15, 16, 255, 256, 257, 1000)
+
+
+def inverse_inputs(limit):
+    """Seeded int tables with a(1) in {1, -1, 2, -3, 10**6}, a Fraction table
+    with a(1) = 3/2, and tables with c != 1 or k > 0."""
+    rng = random.Random(limit)
+    tables = [
+        TabulatedFunction.from_values([a1] + [rng.randint(-3, 3) for _ in range(limit - 1)])
+        for a1 in (1, -1, 2, -3, 10**6)
+    ]
+    fractions = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(limit - 1)]
+    tables.append(TabulatedFunction.from_values([Fraction(3, 2)] + fractions))
+    return tables + [tab(text, limit) for text in ("id_-1", "1/2 . one", "ld + one", "one + one")]
+
+
 class TestDirichletInverse:
     def test_inverse_of_one_is_mu(self):
         inv = dirichlet_inverse(tab("one", 300))
@@ -486,11 +505,40 @@ class TestDirichletInverse:
         a = TabulatedFunction.from_values(vals)
         assert dirichlet_convolve(a, dirichlet_inverse(a)) == tab("eps", 200)
 
+    @pytest.mark.parametrize("limit", INVERSE_LIMITS)
+    def test_matches_the_harmonic_loop(self, limit):
+        for a in inverse_inputs(limit):
+            inv = dirichlet_inverse(a)
+            want = harmonic_inverse(a.values())
+            assert inv.values() == want
+            assert inv.to_json() == TabulatedFunction.from_values(want).to_json()
+            if all(type(v) is int for v in a._vals):
+                assert all(type(v) is int for v in inv._vals)
+
+    def test_a_round_beyond_the_int64_guard(self, monkeypatch):
+        dtypes = []
+        kernel_arrays = convolution._kernel_arrays
+
+        def spy(u, v, limit):
+            arrays = kernel_arrays(u, v, limit)
+            dtypes.append(arrays[0].dtype)
+            return arrays
+
+        monkeypatch.setattr(convolution, "_kernel_arrays", spy)
+        rng = random.Random(11)
+        a = TabulatedFunction.from_values([1] + [rng.randint(-(2**20), 2**20) for _ in range(999)])
+        inv = dirichlet_inverse(a)
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        assert all(type(v) is int for v in inv._vals)
+        assert inv.values() == harmonic_inverse(a.values())
+
     def test_int_table_stays_int(self):
-        for text in ("one", "-(mu . id)", "-tau"):
+        for text in ("one", "-(mu . id)", "-tau", "one + eps"):
             a = tab(text, 500)
             inv = dirichlet_inverse(a)
-            assert all(type(v) is int for v in inv.values()), text
+            assert all(type(v) is int for v in inv._vals), text
+            if a[1] in (1, -1):
+                assert all(type(v) is int for v in inv.values()), text
             assert dirichlet_convolve(a, inv) == tab("eps", 500)
             assert inv.to_json() == TabulatedFunction.from_values(map(Fraction, inv.values())).to_json()
 
@@ -595,6 +643,20 @@ class TestTabulatedFunctionIO:
     def test_json_round_trip(self):
         t = tab("ld", 50)
         assert TabulatedFunction.from_json(t.to_json()) == t
+
+    def test_json_copy_of_int_table_holds_ints(self):
+        rng = random.Random(5)
+        t = TabulatedFunction.from_values([rng.randint(-3, 3) for _ in range(300)])
+        copy = TabulatedFunction.from_json(t.to_json())
+        assert all(type(v) is int for v in copy._vals)
+        tau = tab("tau", 300)
+        assert dirichlet_convolve(copy, tau).to_json() == dirichlet_convolve(t, tau).to_json()
+
+    @pytest.mark.parametrize("bad", ["1/0", "x", "", "1.5", 5, None])
+    def test_malformed_json_value_names_n(self, bad):
+        text = json.dumps({"limit": 3, "values": ["1/1", "2/3", bad]})
+        with pytest.raises(ValueError, match="at n = 3"):
+            TabulatedFunction.from_json(text)
 
     def test_fraction_to_str(self):
         assert [fraction_to_str(v) for v in (0, -3, Fraction(6, 4), Fraction(-1, 3))] == [

@@ -17,9 +17,11 @@ For every end-to-end metric of BENCHMARK.json it prints both medians, the
 parent's interquartile range, the change's wins out of the pairs run (ties
 count for neither side), whether a gain may be claimed (wins in at least nine
 tenths of the pairs and a median gap wider than the parent's IQR), and
-whether the change's median stays within the metric's regression bound.  It
-also prints failed/attempted operations for each side.  Nothing under
-``perfbench/`` is imported or modified.
+whether the change's median stays within the metric's regression bound:
+``WORSE`` beyond it, ``unresolved`` when the parent's IQR is wider than the
+bound and some run of the change reads no better than some run of the
+parent, ``ok`` otherwise.  It also prints failed/attempted operations for
+each side.  Nothing under ``perfbench/`` is imported or modified.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
     pairs = len(parent)
     out = [
         f"{'metric':<12} {'parent':>10} {'change':>10} {'ratio':>7} {'parent IQR':>10} "
-        f"{'wins':>6} {'gain':>5} {'bound':>6}"
+        f"{'wins':>6} {'gain':>5} {'bound':>10}"
     ]
     for m in spec["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
@@ -79,10 +81,16 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
         q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
         wins = sum(1 for a, b in zip(p, c) if sign * (a - b) > 0)
         gain = wins >= 0.9 * pairs and sign * (pm - cm) > q3 - q1
-        within = sign * (cm - pm) <= m["bound"] * abs(pm)
+        bound = m["bound"] * abs(pm)
+        if sign * (cm - pm) > bound:
+            verdict = "WORSE"
+        elif q3 - q1 > bound and max(sign * x for x in c) >= min(sign * x for x in p):
+            verdict = "unresolved"  # the spread hides the bound, and the runs overlap
+        else:
+            verdict = "ok"
         out.append(
             f"{name:<12} {pm:>10.4g} {cm:>10.4g} {cm / pm:>7.3f} {q3 - q1:>10.3g} "
-            f"{wins:>3}/{pairs:<2} {'yes' if gain else 'no':>5} {'ok' if within else 'WORSE':>6}"
+            f"{wins:>3}/{pairs:<2} {'yes' if gain else 'no':>5} {verdict:>10}"
         )
     for label, runs in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in runs)
