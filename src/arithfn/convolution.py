@@ -27,7 +27,9 @@ int k >= 0 and padded numerators num, with value c * num[n] / n**k at n.
 Each builtin declares its k (ld = delta/id and id_-k have k > 0, the von
 Mangoldt builtins have k = 1, all others k = 0), and its numerators are ints;
 tables built from given values hold them as numerators with c = 1 and k = 0.
-The form is closed under every operation on numerators alone:
+num is one numpy array, int64 under a proven bound and object dtype otherwise
+(_one_dtype holds the bound of every operation); values are type-checked only
+where they enter a table.  The form is closed under every operation on num:
 
     *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
         then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the
@@ -38,9 +40,9 @@ The form is closed under every operation on numerators alone:
     ^-1 (c a/n**k)^-1 = (1/c) a^-1/n**k by the same law, a^-1 by Newton's iteration
 
 Comparison aligns the same way and compares numerators.  Values are built
-only when read (TabulatedFunction documents the read rule), so Fractions
-appear only in what a caller reads, in the two values of a mismatch report
-and in the scalars c.
+only when read, as Python ints and Fractions (TabulatedFunction documents the
+read rule); otherwise Fractions appear only in the scalars c and in the
+numerators of Fraction-valued inputs.
 
 The prime-power-supported class is the generalized von Mangoldt function
 Lambda_f (MangoldtOf, mangoldt_tabulate, mangoldt_eval).  The identity
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import operator
@@ -101,12 +102,12 @@ class TabulatedFunction:
     """Exact values of an arithmetic function on 1..limit (1-indexed reads).
 
     The table holds a Fraction c, an int k >= 0 and padded numerators
-    _vals[0..limit]; its value at n is c * _vals[n] / n**k.  Values are built
-    only when read, by one rule that keeps the value types of the numerators:
-    with c = 1 and k = 0 the stored numerator, with k = 0 and an integer c
-    that integer times it, and otherwise Fraction(c * _vals[n], n**k), or
-    the int 0 where the numerator is 0.  The public constructors store the
-    given values with c = 1 and k = 0.
+    _vals[0..limit], an int64 or object ndarray; its value at n is
+    c * _vals[n] / n**k.  Values are built only when read, as Python ints and
+    Fractions, by one rule: with c = 1 and k = 0 the stored numerator, with
+    k = 0 and an integer c that integer times it, and otherwise
+    Fraction(c * _vals[n], n**k), or the int 0 where the numerator is 0.  The
+    public constructors copy the given ints and Fractions with c = 1, k = 0.
     """
 
     __slots__ = ("limit", "_c", "_k", "_vals")
@@ -120,7 +121,7 @@ class TabulatedFunction:
         self.limit = limit
         self._c = _ONE
         self._k = 0
-        self._vals = padded_values
+        self._vals = _exact_array(padded_values)
 
     @classmethod
     def from_values(cls, values: Iterable[Rational]) -> "TabulatedFunction":
@@ -130,7 +131,7 @@ class TabulatedFunction:
     def __getitem__(self, n: int) -> Rational:
         if not 1 <= n <= self.limit:
             raise IndexError(f"index {n} outside [1, {self.limit}]")
-        p, q, k, v = self._c.numerator, self._c.denominator, self._k, self._vals[n]
+        p, q, k, v = self._c.numerator, self._c.denominator, self._k, self._vals.item(n)
         if k == 0 and q == 1:
             return v if p == 1 else p * v
         return Fraction(p * v, q * n**k) if v else 0
@@ -140,10 +141,10 @@ class TabulatedFunction:
 
     def values(self) -> list:
         """The values at 1..limit as a fresh list."""
-        p, q, k, num = self._c.numerator, self._c.denominator, self._k, self._vals
+        p, q, k, num = self._c.numerator, self._c.denominator, self._k, self._vals[1:].tolist()
         if k == 0 and q == 1:
-            return num[1:] if p == 1 else [p * v for v in num[1:]]
-        return [Fraction(p * num[n], q * n**k) if num[n] else 0 for n in range(1, self.limit + 1)]
+            return num if p == 1 else [p * v for v in num]
+        return [Fraction(p * v, q * n**k) if v else 0 for n, v in enumerate(num, 1)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TabulatedFunction):
@@ -157,9 +158,8 @@ class TabulatedFunction:
     def _value_strs(self) -> Iterator[str]:
         """The values at 1..limit as 'p/q' in lowest terms.  An int numerator is
         formatted as p num[n]/g over q n**k/g with g their gcd, without a Fraction."""
-        p, q, k, num = self._c.numerator, self._c.denominator, self._k, self._vals
-        for n in range(1, self.limit + 1):
-            v = num[n]
+        p, q, k = self._c.numerator, self._c.denominator, self._k
+        for n, v in enumerate(self._vals[1:].tolist(), 1):
             if type(v) is int:
                 a, b = p * v, q * n**k
                 g = math.gcd(a, b)
@@ -182,6 +182,9 @@ class TabulatedFunction:
     @classmethod
     def from_json(cls, text: str) -> "TabulatedFunction":
         obj = json.loads(text)
+        limit = obj.get("limit") if isinstance(obj, dict) else None
+        if type(limit) is not int or limit < 1 or not isinstance(obj.get("values"), list):
+            raise ValueError("malformed table: expected an object with int 'limit' >= 1 and list 'values'")
         vals = [0]
         for n, s in enumerate(obj["values"], 1):
             try:  # "p/1" becomes an int without a Fraction
@@ -196,7 +199,26 @@ class TabulatedFunction:
 _ONE = Fraction(1)
 
 
-def _scaled(limit: int, c: Fraction, k: int, num: list) -> TabulatedFunction:
+def _exact_array(padded: list) -> np.ndarray:
+    """Padded values as numerators, int64 when all are ints in range, else object
+    dtype; index 0 holds 0.  Run where values enter a table: anything but an int or
+    a Fraction raises TypeError, since int64 would truncate it silently."""
+    vals = padded[1:]
+    types = set(map(type, vals))
+    if not types <= {int, Fraction}:
+        for n, v in enumerate(vals, 1):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"value at n = {n} is not an exact rational (int or Fraction): {v!r}")
+    num = np.zeros(len(padded), np.int64 if types <= {int} else object)
+    try:
+        num[1:] = vals
+    except OverflowError:  # an int beyond int64
+        num = num.astype(object)
+        num[1:] = vals
+    return num
+
+
+def _scaled(limit: int, c: Fraction, k: int, num: np.ndarray) -> TabulatedFunction:
     """The table c * num[n] / n**k, without validation: for tables built here."""
     t = TabulatedFunction.__new__(TabulatedFunction)
     t.limit, t._c, t._k, t._vals = limit, c, k, num
@@ -592,7 +614,7 @@ def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
     tabulate(mangoldt:<base>) builds, with numerators n * Lambda_f(n) and k = 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return _scaled(limit, _ONE, 1, _mangoldt_numerators(m.base, limit))
+    return _scaled(limit, _ONE, 1, _exact_array(_mangoldt_numerators(m.base, limit)))
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -684,52 +706,49 @@ def resolve_builtin(name: str) -> BuiltinImpl:
 _INT64_MAX = 2**63 - 1
 
 
-def _kernel_arrays(u: list, v: list, limit: int) -> tuple:
-    """u and v as numpy arrays of one dtype: int64 under the bound of _convolve_padded, else object."""
-    if set(map(type, u)) | set(map(type, v)) == {int}:
-        try:
-            A, B = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
-        except OverflowError:  # an int beyond int64
-            pass
-        else:
-            size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
-            if size(A) * size(B) * math.isqrt(4 * limit) <= _INT64_MAX:
-                return A, B
-    return np.array(u, dtype=object), np.array(v, dtype=object)
+def _one_dtype(bound: Callable[..., int], *xs: np.ndarray) -> tuple:
+    """The operands xs of one operation in its dtype: int64 when all are int64 and
+    bound(max|x| for each x), which bounds every |result| since int64 wraps silently,
+    is at most 2**63 - 1; else object.  An object operand keeps the result object."""
+    size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
+    if all(x.dtype == np.int64 for x in xs) and bound(*map(size, xs)) <= _INT64_MAX:
+        return xs
+    return tuple(np.asarray(x, dtype=object) for x in xs)
 
 
-def _convolve_padded(a: list, b: list, limit: int) -> list:
+def _convolve_padded(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:
     """Padded numerators of the Dirichlet convolution of padded numerators a and b.
 
     The pairs d * q = n <= N split at r = isqrt(N), as in the Dirichlet
     hyperbola method: every d <= r adds a[d] * b[1..N//d] into out[d::d], and
     every q <= N//(r + 1) adds b[q] * a[r+1..N//q] into the n = q*d with d > r.
     That is about 2 sqrt(N) numpy slice operations.  They run in int64 when
-    every numerator is a Python int and max|a| max|b| floor(2 sqrt(N)) fits:
+    both sides are int64 and max|a| max|b| floor(2 sqrt(N)) fits:
     tau(n) <= 2 sqrt(n) bounds the number of terms of every partial sum, so
-    nothing wraps.  Otherwise (Fractions, or ints beyond that bound) they run
-    in object dtype on the Python values.  Never a float dtype: an int64 cast
-    would truncate a Fraction silently, hence the type check.
+    nothing wraps.  Otherwise they run in object dtype on the Python values.
     """
-    A, B = _kernel_arrays(a[1:], b[1:], limit)  # values at 1..N; index 0 is filler
-    out = np.zeros(limit + 1, dtype=A.dtype)
+    a, b = _one_dtype(lambda x, y: x * y * math.isqrt(4 * limit), a, b)
+    out = np.zeros(limit + 1, dtype=a.dtype)
     r = math.isqrt(limit)
-    for d in (np.flatnonzero(A[:r]) + 1).tolist():
-        out[d::d] += A[d - 1] * B[: limit // d]
-    for q in (np.flatnonzero(B[: limit // (r + 1)]) + 1).tolist():
-        out[q * (r + 1) : q * (limit // q) + 1 : q] += B[q - 1] * A[r : limit // q]
-    return out.tolist()
+    for d in (np.flatnonzero(a[1 : r + 1]) + 1).tolist():
+        out[d::d] += a[d] * b[1 : limit // d + 1]
+    for q in (np.flatnonzero(b[1 : limit // (r + 1) + 1]) + 1).tolist():
+        out[q * (r + 1) : q * (limit // q) + 1 : q] += b[q] * a[r + 1 : limit // q + 1]
+    return out
 
 
-def _times(num: list, s: int, d: int) -> list:
-    """s * num[n] * n**d at every n, as a new list unless s = 1 and d = 0."""
-    if d == 0:
-        return num if s == 1 else [s * v for v in num]
-    return [v * (s * n**d) for n, v in enumerate(num)]
+def _times(num: np.ndarray, s: int, d: int) -> np.ndarray:
+    """s * num[n] * n**d at every n, as a new array unless s = 1 and d = 0."""
+    if s == 1 and d == 0:
+        return num
+    limit = len(num) - 1
+    (x,) = _one_dtype(lambda m: m * abs(s) * limit**d, num)
+    return x * (np.arange(limit + 1, dtype=x.dtype) ** d * s if d else s)
 
 
 def _mul(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
-    return _scaled(x.limit, x._c * y._c, x._k + y._k, [u * v for u, v in zip(x._vals, y._vals)])
+    u, v = _one_dtype(operator.mul, x._vals, y._vals)
+    return _scaled(x.limit, x._c * y._c, x._k + y._k, u * v)
 
 
 def _aligned(x: TabulatedFunction, y: TabulatedFunction) -> tuple:
@@ -745,17 +764,19 @@ def _aligned(x: TabulatedFunction, y: TabulatedFunction) -> tuple:
 
 def _add(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
     c, k, a, b = _aligned(x, y)
-    return _scaled(x.limit, c, k, [u + v for u, v in zip(a, b)])
+    a, b = _one_dtype(operator.add, a, b)
+    return _scaled(x.limit, c, k, a + b)
 
 
 def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFunction:
-    """The table of expr; builtin numerators are cached by name and may be shared."""
+    """The table of expr; builtin numerators are cached by name, read-only and shared."""
     if isinstance(expr, Builtin):
         impl = resolve_builtin(expr.name)
         key = (normalize_builtin_name(expr.name), limit)
         num = cache.get(key)
         if num is None:
-            num = cache[key] = impl.tabulate(limit, sieve)
+            num = cache[key] = _exact_array(impl.tabulate(limit, sieve))
+            num.setflags(write=False)
         return _scaled(limit, _ONE, impl.k, num)
     if isinstance(expr, (Conv, Mul, Add)):
         x = _tab(expr.left, limit, sieve, cache)
@@ -787,15 +808,7 @@ def tabulate(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     sieve = _covering_sieve(sieve, limit)
-    t = _tab(expr, limit, sieve, cache if cache is not None else {})
-    # Scale and Neg pass their child's numerators through, so a builtin under
-    # scalars hands back its cached list: never alias the cache.
-    leaf = expr
-    while isinstance(leaf, (Scale, Neg)):
-        leaf = leaf.child
-    if isinstance(leaf, Builtin):
-        t._vals = list(t._vals)
-    return t
+    return _tab(expr, limit, sieve, cache if cache is not None else {})
 
 
 def dirichlet_convolve(a: TabulatedFunction, b: TabulatedFunction) -> TabulatedFunction:
@@ -852,18 +865,20 @@ def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
     is exact.  Other numerators take L = u(1) and true division.
     """
     u, limit = a._vals, a.limit
-    if u[1] == 0 or a._c == 0:
+    u1 = u.item(1)
+    if u1 == 0 or a._c == 0:
         raise ValueError("not invertible: value at 1 is 0")
-    ints = all(type(v) is int for v in u)
-    L = u[1] ** limit.bit_length() if ints else Fraction(u[1])
+    ints = u.dtype == np.int64 or all(type(v) is int for v in u.tolist())
+    L = u1 ** limit.bit_length() if ints else Fraction(u1)
     div = operator.floordiv if ints else operator.truediv
-    B, m = [0, div(L, u[1])], 1
+    B, m = _exact_array([0, div(L, u1)]), 1
     while m < limit:
         m = min(limit, (m + 1) ** 2 - 1)
-        B += [0] * (m + 1 - len(B))
+        B = np.concatenate((B, np.zeros(m + 1 - len(B), B.dtype)))
         E = _convolve_padded(u[: m + 1], B, m)
-        E[1] -= L
-        B = [x - div(y, L) for x, y in zip(B, _convolve_padded(B, E, m))]
+        E[1] -= L  # E[1] = u(1) B[1] = L, so this is 0 in any dtype
+        B, D = _one_dtype(operator.add, B, div(_convolve_padded(B, E, m), L))
+        B = B - D
     return _scaled(limit, 1 / (a._c * L), a._k, B)
 
 
@@ -878,8 +893,8 @@ def first_mismatch(
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} != {b.limit}")
     _, _, u, v = _aligned(a, b)
-    differs = map(operator.ne, itertools.islice(u, 1, None), itertools.islice(v, 1, None))
-    n = next(itertools.compress(itertools.count(1), differs), None)
+    differs = np.flatnonzero(u != v)  # index 0 holds 0 on both sides
+    n = int(differs[0]) if differs.size else None
     return None if n is None else (n, Fraction(a[n]), Fraction(b[n]))
 
 
@@ -951,8 +966,8 @@ def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, 
     rng = random.Random(seed)
     u = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
     v = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
-    u, v = _scaled(limit, Fraction(1, 12), 0, u), _scaled(limit, Fraction(1, 12), 0, v)
-    h = _scaled(limit, _ONE, 0, list(range(limit + 1)))
+    u, v = (_scaled(limit, Fraction(1, 12), 0, np.array(w, dtype=np.int64)) for w in (u, v))
+    h = _scaled(limit, _ONE, 0, np.arange(limit + 1, dtype=np.int64))
     label = "id . (u * v) = (id . u) * (id . v)"
     yield _mul(h, dirichlet_convolve(u, v)), dirichlet_convolve(_mul(h, u), _mul(h, v)), label
 

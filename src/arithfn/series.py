@@ -264,21 +264,21 @@ def dirichlet_partial_sum(a: TabulatedFunction, s: ComplexLike) -> SeriesEstimat
 
 def _partial_terms(a: TabulatedFunction, s: complex) -> tuple[np.ndarray, Union[float, np.ndarray], float]:
     """a(n) n**-s at the n with a(n) != 0, the relative error of the powers and the
-    underflow charge.  Each float a(n) is correctly rounded: float() of the values
-    when k = 0 and c is an integer, else one int true division p num[n]/(q n**k)
+    underflow charge.  Each float a(n) is correctly rounded: with c = 1 and k = 0
+    the numerators cast to float64 (int64 rounds to nearest, an object numerator
+    converts as float() does), else one int true division p num[n]/(q n**k)
     from the numerators of c = p/q (or float() of a Fraction numerator's
     quotient), without building the Fraction a(n)."""
     p, q, k, num = a._c.numerator, a._c.denominator, a._k, a._vals
     try:
-        if k == 0 and q == 1:
-            coeffs = np.array(a.values(), dtype=np.float64)
-            ns = np.flatnonzero(coeffs)
+        if k == 0 and p == q == 1:
+            coeffs = num.astype(np.float64)
+            ns = np.flatnonzero(coeffs)  # index 0 holds 0
             coeffs = coeffs[ns]
-            ns = ns + 1.0
         else:
-            ns = [n for n in range(1, a.limit + 1) if num[n]]
-            coeffs = np.array([p * num[n] / (q * n**k) for n in ns], dtype=np.float64)
-            ns = np.array(ns, dtype=np.float64)
+            ns = np.flatnonzero(num)
+            coeffs = np.array([p * v / (q * n**k) for n, v in zip(ns.tolist(), num[ns].tolist())], float)
+        ns = ns.astype(np.float64)
     except OverflowError:
         for n in range(1, a.limit + 1):
             try:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfn import (
     Add,
@@ -59,6 +61,12 @@ CATALOG_SIDES = sorted(
 
 def tab(text, limit, **kw):
     return tabulate(parse_expression(text), limit, **kw)
+
+
+def int_numerators(t):
+    """Whether every numerator of t is an int: an int64 array, or Python ints in object dtype."""
+    num = t._vals
+    return num.dtype == np.int64 or (num.dtype == object and all(type(v) is int for v in num.tolist()))
 
 
 def random_tabulation(rng, limit):
@@ -218,12 +226,13 @@ class TestTabulate:
         assert ("tau", 50) in cache
         t2 = tab("tau", 50, cache=cache)
         assert t1 == t2
-        cached = list(cache[("tau", 50)])
+        cached = cache[("tau", 50)].tolist()
         t3 = tab("tau . tau", 50, cache=cache)
-        assert cache[("tau", 50)] == cached  # intermediate use left the cache intact
+        assert cache[("tau", 50)].tolist() == cached  # intermediate use left the cache intact
         for text in ("tau", "-(-tau)", "2 . (1/2 . tau)"):
-            tab(text, 50, cache=cache)._vals[7] = -1
-        assert cache[("tau", 50)] == cached  # no returned table aliases the cache
+            with pytest.raises(ValueError, match="read-only"):
+                tab(text, 50, cache=cache)._vals[7] = -1
+        assert cache[("tau", 50)].tolist() == cached  # no returned table can write into the cache
         assert t3.values() == [v * v for v in t1.values()]
 
 
@@ -273,7 +282,9 @@ INT64_MAX = 2**63 - 1
 
 
 def kernel_dtype(u, v):
-    return convolution._kernel_arrays(u, v, len(u))[0].dtype
+    """The dtype the kernel runs in for the value lists u and v."""
+    a, b = (TabulatedFunction.from_values(x)._vals for x in (u, v))
+    return convolution._convolve_padded(a, b, len(u)).dtype
 
 
 def assert_convolves(u, v):
@@ -348,6 +359,116 @@ class TestKernel:
         assert_convolves(zero, zero)
 
 
+def int_table(values, k=0):
+    """The table values[n - 1] / n**k with int numerators."""
+    t = TabulatedFunction.from_values(values)
+    t._k = k
+    return t
+
+
+class TestOperationGuards:
+    """Pointwise product, sum and the n**d alignment in int64 under their bounds and
+    in object dtype just above them, exact either way."""
+
+    @pytest.mark.parametrize("limit", (1, 2, 17))
+    def test_pointwise_product(self, limit):
+        # max|x| max|y| <= 2**63 - 1; the two maxima meet at one n, so int64 would wrap above it.
+        rng = random.Random(limit)
+        top = INT64_MAX // 7
+        for size, dtype in ((top, np.int64), (top + 1, object)):
+            u = [rng.randint(-size, size) for _ in range(limit)]
+            v = [rng.randint(-7, 7) for _ in range(limit)]
+            u[-1], v[-1] = -size, 7
+            t = convolution._mul(int_table(u), int_table(v))
+            assert t._vals.dtype == dtype
+            assert t.values() == [a * b for a, b in zip(u, v)]
+
+    @pytest.mark.parametrize("limit", (1, 2, 17))
+    def test_sum(self, limit):
+        # max|x| + max|y| <= 2**63 - 1; the two maxima meet at one n, so int64 would wrap above it.
+        rng = random.Random(limit + 1)
+        for size, dtype in ((INT64_MAX - 7, np.int64), (INT64_MAX - 6, object)):
+            u = [rng.randint(-size, size) for _ in range(limit)]
+            v = [rng.randint(-7, 7) for _ in range(limit)]
+            u[-1], v[-1] = size, 7
+            t = convolution._add(int_table(u), int_table(v))
+            assert t._vals.dtype == dtype
+            assert t.values() == [a + b for a, b in zip(u, v)]
+
+    @pytest.mark.parametrize("limit", (1, 2, 17))
+    def test_alignment(self, limit):
+        # x = u/n**0 aligned to y = v/n**2 is u n**2, and 3 u against 2 v/3 scales u by s = 9:
+        # max|u| 9 limit**2 <= 2**63 - 1.
+        rng = random.Random(limit + 2)
+        top = INT64_MAX // (9 * limit**2)
+        for size, dtype in ((top, np.int64), (top + 1, object)):
+            u = [rng.randint(-size, size) for _ in range(limit)]
+            v = [rng.randint(-3, 3) for _ in range(limit)]
+            u[-1] = size
+            x, y = int_table(u), int_table(v, k=2)
+            x._c, y._c = Fraction(3), Fraction(1, 3)
+            c, k, a, b = convolution._aligned(x, y)
+            assert (c, k, a.dtype) == (Fraction(1, 3), 2, dtype)
+            assert a[1:].tolist() == [9 * w * n**2 for n, w in enumerate(u, 1)]
+            assert b[1:].tolist() == v
+            assert convolution._add(x, y).values() == [
+                3 * w + Fraction(z, 3 * n**2) for n, (w, z) in enumerate(zip(u, v), 1)
+            ]
+
+    def test_object_operands_stay_object(self):
+        small = int_table([1, 2, 3])
+        big = convolution._mul(int_table([INT64_MAX] * 3), int_table([2] * 3))
+        assert big._vals.dtype == object
+        for t in (convolution._mul(big, small), convolution._add(small, big), dirichlet_convolve(small, big)):
+            assert t._vals.dtype == object
+            assert int_numerators(t)
+
+
+@st.composite
+def tables_near_a_guard(draw):
+    """(op, u, v): int value lists whose maxima put op within 2 of its int64 bound."""
+    op = draw(st.sampled_from(("*", ".", "+", "+k")))
+    limit = draw(st.integers(1, 30))
+    a = draw(st.integers(1, 2**40))
+    bound = {
+        "*": INT64_MAX // (a * math.isqrt(4 * limit)),
+        ".": INT64_MAX // a,
+        "+": INT64_MAX - a,
+        "+k": INT64_MAX // limit**2,  # the alignment of u to v/n**2 multiplies u by n**2
+    }[op]
+    b = max(1, bound + draw(st.integers(-2, 2)))
+    if op == "+k":
+        a, b = b, draw(st.integers(1, 100))
+
+    def values(size):
+        vals = draw(st.lists(st.integers(-size, size), min_size=limit, max_size=limit))
+        vals[draw(st.integers(0, limit - 1))] = draw(st.sampled_from((size, -size)))
+        return vals
+
+    return op, values(a), values(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_near_a_guard())
+def test_operations_near_the_int64_guards_are_exact(case):
+    op, u, v = case
+    x = int_table(u)
+    if op == "*":
+        c = dirichlet_convolve(x, int_table(v))
+        want = [naive_convolve_at(lambda d: u[d - 1], lambda q: v[q - 1], n) for n in range(1, len(u) + 1)]
+    elif op == ".":
+        c = convolution._mul(x, int_table(v))
+        want = [a * b for a, b in zip(u, v)]
+    elif op == "+":
+        c = convolution._add(x, int_table(v))
+        want = [a + b for a, b in zip(u, v)]
+    else:
+        c = convolution._add(x, int_table(v, k=2))
+        want = [a + Fraction(b, n**2) for n, (a, b) in enumerate(zip(u, v), 1)]
+    assert c.values() == want
+    assert int_numerators(c)
+
+
 class TestConvolveAt:
     def test_tau_via_ones(self):
         assert convolve_at(parse_expression("one"), parse_expression("one"), 8) == 4
@@ -404,8 +525,7 @@ class TestScaledTables:
         limit = 240
         e = parse_expression(text)
         sieve = build_sieve(limit)
-        num = convolution._tab(e, limit, sieve, {})._vals
-        assert all(type(v) is int for v in num)
+        assert int_numerators(convolution._tab(e, limit, sieve, {}))
         t = tabulate(e, limit, sieve)
         for n in range(1, limit + 1):
             assert evaluate_at(e, n) == t[n], n
@@ -414,8 +534,7 @@ class TestScaledTables:
         limit = 300
         sieve = build_sieve(limit)
         for name in BUILTIN_NAMES:
-            num = convolution._tab(parse_expression(name), limit, sieve, {})._vals
-            assert all(type(v) is int for v in num), name
+            assert int_numerators(convolution._tab(parse_expression(name), limit, sieve, {})), name
 
     def test_fraction_corruption_is_reported_exactly(self, monkeypatch):
         ld = convolution.resolve_builtin("ld")
@@ -439,7 +558,7 @@ class TestOneRepresentation:
 
     def test_fraction_tables_convolve_in_ints(self):
         c = dirichlet_convolve(tab("ld", 300), tab("tau", 300))
-        assert all(type(v) is int for v in c._vals)
+        assert int_numerators(c)
         assert c == tab("ld * tau", 300)
 
     def test_convolve_matches_convolve_at(self):
@@ -512,31 +631,31 @@ class TestDirichletInverse:
             want = harmonic_inverse(a.values())
             assert inv.values() == want
             assert inv.to_json() == TabulatedFunction.from_values(want).to_json()
-            if all(type(v) is int for v in a._vals):
-                assert all(type(v) is int for v in inv._vals)
+            if int_numerators(a):
+                assert int_numerators(inv)
 
     def test_a_round_beyond_the_int64_guard(self, monkeypatch):
         dtypes = []
-        kernel_arrays = convolution._kernel_arrays
+        kernel = convolution._convolve_padded
 
-        def spy(u, v, limit):
-            arrays = kernel_arrays(u, v, limit)
-            dtypes.append(arrays[0].dtype)
-            return arrays
+        def spy(a, b, limit):
+            out = kernel(a, b, limit)
+            dtypes.append(out.dtype)
+            return out
 
-        monkeypatch.setattr(convolution, "_kernel_arrays", spy)
+        monkeypatch.setattr(convolution, "_convolve_padded", spy)
         rng = random.Random(11)
         a = TabulatedFunction.from_values([1] + [rng.randint(-(2**20), 2**20) for _ in range(999)])
         inv = dirichlet_inverse(a)
         assert dtypes[0] == np.int64 and dtypes[-1] == object
-        assert all(type(v) is int for v in inv._vals)
+        assert int_numerators(inv)
         assert inv.values() == harmonic_inverse(a.values())
 
     def test_int_table_stays_int(self):
         for text in ("one", "-(mu . id)", "-tau", "one + eps"):
             a = tab(text, 500)
             inv = dirichlet_inverse(a)
-            assert all(type(v) is int for v in inv._vals), text
+            assert int_numerators(inv), text
             if a[1] in (1, -1):
                 assert all(type(v) is int for v in inv.values()), text
             assert dirichlet_convolve(a, inv) == tab("eps", 500)
@@ -648,7 +767,7 @@ class TestTabulatedFunctionIO:
         rng = random.Random(5)
         t = TabulatedFunction.from_values([rng.randint(-3, 3) for _ in range(300)])
         copy = TabulatedFunction.from_json(t.to_json())
-        assert all(type(v) is int for v in copy._vals)
+        assert copy._vals.dtype == np.int64
         tau = tab("tau", 300)
         assert dirichlet_convolve(copy, tau).to_json() == dirichlet_convolve(t, tau).to_json()
 
@@ -657,6 +776,35 @@ class TestTabulatedFunctionIO:
         text = json.dumps({"limit": 3, "values": ["1/1", "2/3", bad]})
         with pytest.raises(ValueError, match="at n = 3"):
             TabulatedFunction.from_json(text)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"values": ["1/1"]},
+            [1],
+            {"limit": 1, "values": "1/1"},
+            {"limit": 0, "values": []},
+            {"limit": True, "values": ["1/1"]},
+            {"limit": "1", "values": ["1/1"]},
+        ],
+    )
+    def test_malformed_json_document(self, doc):
+        with pytest.raises(ValueError, match="malformed table: expected an object with int"):
+            TabulatedFunction.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "4", None, 1j])
+    def test_inexact_values_are_rejected_naming_n(self, bad):
+        with pytest.raises(TypeError, match="at n = 3 "):
+            TabulatedFunction.from_values([1, Fraction(1, 2), bad, 4])
+        with pytest.raises(TypeError, match="at n = 2 "):
+            TabulatedFunction(3, [0, 1, bad, 3])
+
+    def test_constructors_copy_the_given_values(self):
+        padded = [0, 1, 2, 3]
+        values = [1, Fraction(1, 2), 2**70]
+        t, u = TabulatedFunction(3, padded), TabulatedFunction.from_values(values)
+        padded[1] = values[0] = 99
+        assert t.values() == [1, 2, 3] and u.values() == [1, Fraction(1, 2), 2**70]
 
     def test_fraction_to_str(self):
         assert [fraction_to_str(v) for v in (0, -3, Fraction(6, 4), Fraction(-1, 3))] == [
