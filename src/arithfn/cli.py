@@ -32,7 +32,7 @@ from .factor import build_sieve, factorize, factorize_rational
 from .ladditive import eval_natural, eval_rational, l_additive_by_token
 from .series import check_series_identity, list_series_presets
 
-_LIMIT_HELP = "table window [1, N]; sieve memory is about one machine word per integer up to N"
+_LIMIT_HELP = "table window [1, N]; memory is about two machine words per integer up to N (the sieve, and its int32 split arrays)"
 
 
 def _rational_arg(text: str) -> tuple[int, int]:
@@ -142,20 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_factors(kind: str, text_input: str, fact, fmt: str) -> int:
-    pairs = [(p, a) for p, a in fact]
+def _emit(fmt: str, table: str, header: list, rows: list, obj) -> None:
+    """Print one result as table text, as CSV rows under a header row, or as one JSON document."""
     if fmt == "table":
-        if not pairs:
-            body = "1"
-        else:
-            body = " * ".join(str(p) if a == 1 else f"{p}^{a}" for p, a in pairs)
-        print(f"{text_input} = {body}")
+        print(table)
     elif fmt == "csv":
         w = csv.writer(sys.stdout)
-        w.writerow(["prime", "exponent"])
-        w.writerows(pairs)
+        w.writerow(header)
+        w.writerows(rows)
     else:
-        print(json.dumps({"input": text_input, "kind": kind, "factors": pairs}))
+        print(json.dumps(obj))
+
+
+def _emit_factors(kind: str, text_input: str, fact, fmt: str) -> int:
+    pairs = [(p, a) for p, a in fact]
+    body = " * ".join(str(p) if a == 1 else f"{p}^{a}" for p, a in pairs) or "1"
+    _emit(fmt, f"{text_input} = {body}", ["prime", "exponent"], pairs, {"input": text_input, "kind": kind, "factors": pairs})
     return 0
 
 
@@ -190,14 +192,8 @@ def _cmd_eval(args) -> int:
             p, q = args.rational
             value = eval_rational(fn, p, q)
             argument = f"{p}/{q}"
-    if args.format == "table":
-        print(value)
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["function", "argument", "value"])
-        w.writerow([token, argument, fraction_to_str(value)])
-    else:
-        print(json.dumps({"function": token, "argument": argument, "value": fraction_to_str(value)}))
+    header, row = ["function", "argument", "value"], [token, argument, fraction_to_str(value)]
+    _emit(args.format, str(value), header, [row], dict(zip(header, row)))
     return 0
 
 
@@ -206,22 +202,8 @@ def _cmd_convolve(args) -> int:
     expr_b = parse_expression(args.expr_b)
     if args.at is not None:
         value = convolve_at(expr_a, expr_b, args.at)
-        if args.format == "table":
-            print(value)
-        elif args.format == "csv":
-            w = csv.writer(sys.stdout)
-            w.writerow(["n", "value"])
-            w.writerow([args.at, fraction_to_str(value)])
-        else:
-            print(
-                json.dumps(
-                    {
-                        "expression": f"({expr_a}) * ({expr_b})",
-                        "n": args.at,
-                        "value": fraction_to_str(value),
-                    }
-                )
-            )
+        obj = {"expression": f"({expr_a}) * ({expr_b})", "n": args.at, "value": fraction_to_str(value)}
+        _emit(args.format, str(value), ["n", "value"], [[args.at, obj["value"]]], obj)
         return 0
     sieve = build_sieve(max(args.limit, 2))
     a = tabulate(expr_a, args.limit, sieve)
@@ -254,32 +236,17 @@ def _verify_line(r: VerificationReport) -> str:
 _VERIFY_CSV_COLUMNS = ["identity", "range", "holds", "mismatch_n", "case", "lhs", "rhs", "elapsed_s"]
 
 
-def _verify_csv_row(r: VerificationReport) -> list:
-    d = r.to_dict()
-    return [d[k] for k in _VERIFY_CSV_COLUMNS]
-
-
 def _cmd_verify(args) -> int:
     if args.identity == "all":
         reports = verify_all(args.limit, seed=args.seed)
     else:
         reports = [verify_identity(args.identity, args.limit, seed=args.seed)]
-    if args.format == "table":
-        for r in reports:
-            print(_verify_line(r))
-        bad = [r for r in reports if not r.holds]
-        if args.identity == "all":
-            print(f"{len(reports) - len(bad)}/{len(reports)} identities hold on [1, {args.limit}]")
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(_VERIFY_CSV_COLUMNS)
-        for r in reports:
-            w.writerow(_verify_csv_row(r))
-    else:
-        if args.identity == "all":
-            print(json.dumps([r.to_dict() for r in reports]))
-        else:
-            print(reports[0].to_json())
+    lines = [_verify_line(r) for r in reports]
+    if args.identity == "all":
+        lines.append(f"{sum(r.holds for r in reports)}/{len(reports)} identities hold on [1, {args.limit}]")
+    dicts = [r.to_dict() for r in reports]
+    rows = [[d[k] for k in _VERIFY_CSV_COLUMNS] for d in dicts]
+    _emit(args.format, "\n".join(lines), _VERIFY_CSV_COLUMNS, rows, dicts if args.identity == "all" else dicts[0])
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -290,68 +257,23 @@ def _format_complex(z: complex) -> str:
 
 
 def _cmd_series(args) -> int:
-    report = check_series_identity(
-        args.preset, args.s, args.limit, args.primes, args.tol, k=args.k
-    )
-    if args.format == "table":
-        print(f"identity:    {report.name}")
-        print(f"s:           {_format_complex(report.s)}")
-        print(f"N:           {report.limit}")
-        print(f"prime limit: {report.prime_limit}")
-        print(f"lhs:         {_format_complex(report.lhs)}")
-        print(f"rhs:         {_format_complex(report.rhs)}")
-        print(f"abs error:   {report.abs_error:.17g}")
-        print(f"tolerance:   {report.tolerance:.17g}")
-        print("result:      PASS" if report.passed else "result:      FAIL")
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["name", "s", "N", "prime_limit", "lhs", "rhs", "abs_error", "tolerance", "pass"])
-        w.writerow(
-            [
-                report.name,
-                _format_complex(report.s),
-                report.limit,
-                report.prime_limit,
-                _format_complex(report.lhs),
-                _format_complex(report.rhs),
-                f"{report.abs_error:.17g}",
-                f"{report.tolerance:.17g}",
-                report.passed,
-            ]
-        )
-    else:
-        print(report.to_json())
-    return 0 if report.passed else 1
+    r = check_series_identity(args.preset, args.s, args.limit, args.primes, args.tol, k=args.k)
+    c = _format_complex
+    row = [r.name, c(r.s), r.limit, r.prime_limit, c(r.lhs), c(r.rhs), f"{r.abs_error:.17g}", f"{r.tolerance:.17g}"]
+    labels = ["identity", "s", "N", "prime limit", "lhs", "rhs", "abs error", "tolerance", "result"]
+    table = "\n".join(f"{k + ':':<13}{v}" for k, v in zip(labels, [*row, "PASS" if r.passed else "FAIL"]))
+    header = ["name", "s", "N", "prime_limit", "lhs", "rhs", "abs_error", "tolerance", "pass"]
+    _emit(args.format, table, header, [[*row, r.passed]], r.to_dict())
+    return 0 if r.passed else 1
 
 
 def _cmd_list_identities(args) -> int:
-    exact = list_identity_presets()
-    ser = list_series_presets()
-    if args.format == "table":
-        print("exact identities (verify):")
-        for name, desc in exact:
-            print(f"  {name:<18} {desc}")
-        print("series identities (series):")
-        for name, desc in ser:
-            print(f"  {name:<18} {desc}")
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["layer", "name", "formula"])
-        for name, desc in exact:
-            w.writerow(["exact", name, desc])
-        for name, desc in ser:
-            w.writerow(["series", name, desc])
-    else:
-        print(
-            json.dumps(
-                {
-                    "identities": [
-                        {"layer": "exact", "name": n, "formula": d} for n, d in exact
-                    ]
-                    + [{"layer": "series", "name": n, "formula": d} for n, d in ser]
-                }
-            )
-        )
+    exact, ser = list_identity_presets(), list_series_presets()
+    rows = [["exact", n, d] for n, d in exact] + [["series", n, d] for n, d in ser]
+    table = ["exact identities (verify):", *(f"  {n:<18} {d}" for n, d in exact)]
+    table += ["series identities (series):", *(f"  {n:<18} {d}" for n, d in ser)]
+    obj = {"identities": [{"layer": layer, "name": n, "formula": d} for layer, n, d in rows]}
+    _emit(args.format, "\n".join(table), ["layer", "name", "formula"], rows, obj)
     return 0
 
 

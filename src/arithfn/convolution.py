@@ -20,6 +20,11 @@ tabulator and one point evaluator that works from the factorization:
     Leibniz-additive            delta, ld, big_omega, delta_p:<prime>
     prime-power-supported       mangoldt:<fn>, f(p)/h(p) at every p**k
 
+A class tabulates as its prime-power values (id_k: np.arange**k) and, for the
+multiplicative and Leibniz-additive ones, one shared recurrence
+(ladditive.split_recurrence); ld's numerators n ld(n) are the Leibniz-additive
+function with prime values p * (1/p, 1) = (1, p), that is delta.
+
 Numeric literals are scalars and combine through "." only.
 
 Every table, public or internal, is one TabulatedFunction: a Fraction c, an
@@ -28,8 +33,9 @@ Each builtin declares its k (ld = delta/id and id_-k have k > 0, the von
 Mangoldt builtins have k = 1, all others k = 0), and its numerators are ints;
 tables built from given values hold them as numerators with c = 1 and k = 0.
 num is one numpy array, int64 under a proven bound and object dtype otherwise
-(_one_dtype holds the bound of every operation); values are type-checked only
-where they enter a table.  The form is closed under every operation on num:
+(split_recurrence holds the bound of tabulation, _one_dtype that of every
+operation); values are type-checked only where they enter a table, and builtin
+tabulators return arrays.  The form is closed under every operation on num:
 
     *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
         then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the
@@ -73,9 +79,13 @@ from .ladditive import (
     as_exact,
     delta,
     eval_natural,
+    exact_array,
+    exact_ratio,
     l_additive_by_token,
+    leibniz_numerators,
     ld,
-    tabulate_l_additive,
+    prime_power_table,
+    split_recurrence,
 )
 
 Rational = Union[int, Fraction]
@@ -121,7 +131,7 @@ class TabulatedFunction:
         self.limit = limit
         self._c = _ONE
         self._k = 0
-        self._vals = _exact_array(padded_values)
+        self._vals = exact_array(padded_values[1:])
 
     @classmethod
     def from_values(cls, values: Iterable[Rational]) -> "TabulatedFunction":
@@ -155,17 +165,14 @@ class TabulatedFunction:
         head = ", ".join(str(self[n]) for n in range(1, min(self.limit, 6) + 1))
         return f"TabulatedFunction(limit={self.limit}, values=[{head}, ...])"
 
-    def _value_strs(self) -> Iterator[str]:
-        """The values at 1..limit as 'p/q' in lowest terms.  An int numerator is
-        formatted as p num[n]/g over q n**k/g with g their gcd, without a Fraction."""
+    def _value_strs(self) -> list[str]:
+        """The values at 1..limit as 'p/q' in lowest terms.  An int numerator is formatted as
+        p num[n]/g over q n**k/g with g their gcd (no gcd where q n**k = 1), without a Fraction."""
         p, q, k = self._c.numerator, self._c.denominator, self._k
-        for n, v in enumerate(self._vals[1:].tolist(), 1):
-            if type(v) is int:
-                a, b = p * v, q * n**k
-                g = math.gcd(a, b)
-                yield f"{a // g}/{b // g}"
-            else:
-                yield fraction_to_str(self[n])
+        if q == 1 and k == 0:
+            return [f"{p * v}/1" if type(v) is int else fraction_to_str(p * v) for v in self._vals[1:].tolist()]
+        return [_lowest_terms(p * v, q * n**k) if type(v) is int else fraction_to_str(self[n])
+                for n, v in enumerate(self._vals[1:].tolist(), 1)]
 
     def to_csv(self, out: IO[str]) -> None:
         """CSV with columns n, value (value always as 'p/q')."""
@@ -174,7 +181,7 @@ class TabulatedFunction:
         w.writerows(enumerate(self._value_strs(), 1))
 
     def to_json_obj(self) -> dict:
-        return {"limit": self.limit, "values": list(self._value_strs())}
+        return {"limit": self.limit, "values": self._value_strs()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -199,23 +206,9 @@ class TabulatedFunction:
 _ONE = Fraction(1)
 
 
-def _exact_array(padded: list) -> np.ndarray:
-    """Padded values as numerators, int64 when all are ints in range, else object
-    dtype; index 0 holds 0.  Run where values enter a table: anything but an int or
-    a Fraction raises TypeError, since int64 would truncate it silently."""
-    vals = padded[1:]
-    types = set(map(type, vals))
-    if not types <= {int, Fraction}:
-        for n, v in enumerate(vals, 1):
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"value at n = {n} is not an exact rational (int or Fraction): {v!r}")
-    num = np.zeros(len(padded), np.int64 if types <= {int} else object)
-    try:
-        num[1:] = vals
-    except OverflowError:  # an int beyond int64
-        num = num.astype(object)
-        num[1:] = vals
-    return num
+def _lowest_terms(a: int, b: int) -> str:
+    g = math.gcd(a, b)
+    return f"{a // g}/{b // g}"
 
 
 def _scaled(limit: int, c: Fraction, k: int, num: np.ndarray) -> TabulatedFunction:
@@ -501,27 +494,33 @@ def parse_expression(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class BuiltinImpl:
-    """A builtin's function class: tabulate(limit, sieve) gives the padded int numerators
-    num[n] = value(n) * n**k on [1, limit] from a sieve covering limit, at(n) the value
-    at n from its factorization, euler the {j: e_j} of a series prod_j zeta(s - j)**e_j."""
+    """A builtin's function class: tabulate(limit, sieve) gives the padded numerators
+    num[n] = value(n) * n**k on [1, limit] from a sieve covering limit, as a fresh int64
+    or object array with 0 at index 0, at(n) the value at n from its factorization,
+    euler the {j: e_j} of a series prod_j zeta(s - j)**e_j."""
 
-    tabulate: Callable[[int, SieveTable], list]
+    tabulate: Callable[[int, SieveTable], np.ndarray]
     at: Callable[[int], Rational]
     k: int = 0
     euler: Optional[dict] = None
 
 
 def _power(k: int) -> BuiltinImpl:
-    """Completely multiplicative id_k(n) = n**k in closed form; one is id_0."""
-    if k < 0:
-        return BuiltinImpl(lambda limit, sieve: [0] + [1] * limit, lambda n: Fraction(1, n**-k), -k, {k: 1})
-    at = lambda n: n**k  # noqa: E731
-    return BuiltinImpl(lambda limit, sieve: [0, *map(at, range(1, limit + 1))], at, euler={k: 1})
+    """Completely multiplicative id_k(n) = n**k in closed form; one is id_0, and id_-k has
+    numerators 1 over n**k.  Numerators n**max(k, 0), int64 exactly when limit**max(k, 0) fits."""
+    j = max(k, 0)
+
+    def tab(limit: int, sieve: SieveTable) -> np.ndarray:
+        num = np.arange(limit + 1, dtype=np.int64 if limit**j <= _INT64_MAX else object) ** j
+        num[0] = 0
+        return num
+
+    return BuiltinImpl(tab, (lambda n: n**k) if k >= 0 else (lambda n: Fraction(1, n**-k)), j - k, {k: 1})
 
 
 def _zeta_product(e: dict) -> BuiltinImpl:
-    """Multiplicative f with Dirichlet series prod_j zeta(s - j)**e[j]: f(p**a) is the
-    x**a coefficient of prod_j (1 - p**j x)**-e[j], so f(p) = sum_j e[j] p**j."""
+    """Multiplicative f with Dirichlet series prod_j zeta(s - j)**e[j], j >= 0: f(p**a) is
+    the x**a coefficient of prod_j (1 - p**j x)**-e[j], so f(p) = sum_j e[j] p**j."""
 
     def g(p: int, a: int) -> int:
         c = [1] + [0] * a  # x**0..x**a of the product so far
@@ -533,50 +532,19 @@ def _zeta_product(e: dict) -> BuiltinImpl:
                     c[i] += q * c[i - 1]
         return c[a]
 
-    def tab(limit: int, sieve: SieveTable) -> list:
-        v = [0] * (limit + 1)
-        v[1] = 1
-        for j, ej in e.items():
-            for p in _primes_from(sieve, limit):
-                v[p] += ej * p**j
-        # Split a composite n = p**a * r at its smallest prime p: v[n] = v[p**a] * v[r],
-        # and v[p**a] = g(p, a) the first time the prime power itself comes up.
-        spf = sieve.spf
-        for n in range(2, limit + 1):
-            p = spf[n]
-            if p == n:
-                continue
-            r = n // p
-            a = 1
-            while r % p == 0:
-                r //= p
-                a += 1
-            v[n] = v[n // r] * v[r] if r > 1 else g(p, a)
-        return v
+    def tab(limit: int, sieve: SieveTable) -> np.ndarray:
+        ps = _primes_from(sieve, limit)
+        # sum_j |e_j| limit**j bounds f(p) and its partial sums at every p <= limit
+        x = np.array(ps, np.int64 if sum(abs(ej) * limit**j for j, ej in e.items()) <= _INT64_MAX else object)
+        f_p = sum((ej * x**j for j, ej in e.items()), np.zeros_like(x)).tolist()
+        return split_recurrence(sieve, limit, prime_power_table(limit, ps, f_p, lambda i, a: g(ps[i], a)))
 
     return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)), euler=e)
 
 
-def _tab_delta(limit: int, sieve: SieveTable) -> list:
-    # Leibniz split on the smallest prime factor: delta(p*m) = m + p*delta(m).
-    # Kept beside tabulate_l_additive on purpose: a generic Leibniz split also
-    # carries an h table, and at 2*10**5 even an all-int one took 60-85 ms
-    # instead of 40 ms and 15.4 MB of peak allocation instead of 7.4 MB.
-    # It also gives the numerators of ld = delta/id.
-    spf = sieve.spf
-    v = [0] * (limit + 1)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        v[n] = m + p * v[m]
-    return v
-
-
-def _leibniz_additive(fn: LAdditiveFunction, tab=None, k: int = 0) -> BuiltinImpl:
-    """Leibniz-additive f with companion h: tabulate_l_additive and eval_natural."""
-    if tab is None:
-        tab = lambda limit, sieve: tabulate_l_additive(fn, limit, sieve)  # noqa: E731
-    return BuiltinImpl(tab, lambda n: eval_natural(fn, n), k)
+def _leibniz_additive(fn: LAdditiveFunction, k: int = 0) -> BuiltinImpl:
+    """Leibniz-additive f with companion h: numerators n**k f(n), and eval_natural."""
+    return BuiltinImpl(lambda limit, sieve: leibniz_numerators(fn, limit, sieve, k), lambda n: eval_natural(fn, n), k)
 
 
 @dataclass(frozen=True)
@@ -590,23 +558,18 @@ class MangoldtOf:
     base: LAdditiveFunction
 
 
-def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> list:
-    """n * Lambda_f(n) on [1, limit], padded: (f(p)/h(p)) * p**j at every p**j, else 0.
+def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
+    """n * Lambda_f(n) on [0, limit]: (f(p)/h(p)) * p**j at every p**j, else 0.
 
     The primes come from the sieve when one is given.  The numerators are ints
     for every base that l_additive_by_token resolves, where f(p)/h(p) is an
     int or 1/p.
     """
-    num: list = [0] * (limit + 1)
-    for p in _primes_from(sieve, limit):
-        f, h = fn.at_prime(p)
-        a, b = f.numerator * h.denominator, f.denominator * h.numerator  # f(p)/h(p) = a/b
-        q = p
-        while q <= limit:
-            v, r = divmod(a * q, b)
-            num[q] = Fraction(a * q, b) if r else v
-            q *= p
-    return num
+    ps = _primes_from(sieve, limit)
+    # f(p)/h(p) = a/b, so the value at p**j is a p**j / b
+    ab = [(f.numerator * h.denominator, f.denominator * h.numerator) for f, h in map(fn.at_prime, ps)]
+    at = lambda i, j: exact_ratio(ab[i][0] * ps[i] ** j, ab[i][1])  # noqa: E731
+    return prime_power_table(limit, ps, [at(i, 1) for i in range(len(ps))], at)
 
 
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
@@ -614,7 +577,7 @@ def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
     tabulate(mangoldt:<base>) builds, with numerators n * Lambda_f(n) and k = 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return _scaled(limit, _ONE, 1, _exact_array(_mangoldt_numerators(m.base, limit)))
+    return _scaled(limit, _ONE, 1, _mangoldt_numerators(m.base, limit))
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -650,8 +613,8 @@ _CATALOG = {
     "mu": _zeta_product({0: -1}),
     "tau": _zeta_product({0: 2}),
     "phi": _zeta_product({1: 1, 0: -1}),
-    "delta": _leibniz_additive(delta(), _tab_delta),
-    "ld": _leibniz_additive(ld(), _tab_delta, 1),
+    "delta": _leibniz_additive(delta()),
+    "ld": _leibniz_additive(ld(), 1),
 }
 
 
@@ -775,8 +738,11 @@ def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFun
         key = (normalize_builtin_name(expr.name), limit)
         num = cache.get(key)
         if num is None:
-            num = cache[key] = _exact_array(impl.tabulate(limit, sieve))
+            num = impl.tabulate(limit, sieve)
+            if num.dtype not in (np.int64, object):  # a float or narrower dtype is not exact
+                raise TypeError(f"tabulating {key[0]} gave {num.dtype} numerators, not int64 or object")
             num.setflags(write=False)
+            cache[key] = num
         return _scaled(limit, _ONE, impl.k, num)
     if isinstance(expr, (Conv, Mul, Add)):
         x = _tab(expr.left, limit, sieve, cache)
@@ -871,7 +837,7 @@ def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
     ints = u.dtype == np.int64 or all(type(v) is int for v in u.tolist())
     L = u1 ** limit.bit_length() if ints else Fraction(u1)
     div = operator.floordiv if ints else operator.truediv
-    B, m = _exact_array([0, div(L, u1)]), 1
+    B, m = exact_array([div(L, u1)]), 1
     while m < limit:
         m = min(limit, (m + 1) ** 2 - 1)
         B = np.concatenate((B, np.zeros(m + 1 - len(B), B.dtype)))

@@ -7,11 +7,14 @@ produced here, so this module sticks to exact integer arithmetic throughout.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 
 class PrimePower(NamedTuple):
@@ -105,7 +108,9 @@ class SieveTable:
 
     spf[0] and spf[1] are unused filler; primes lists the primes <= limit in
     increasing order.  Memory is one machine word per integer up to the limit,
-    plus the primes.  Treat as read-only after construction.
+    plus the primes, and one more for split once tabulation builds it: two
+    int32 arrays, half of what int64 would take.  spf stays a list, which
+    factorize reads one entry at a time.  Treat as read-only after construction.
     """
 
     limit: int
@@ -116,6 +121,21 @@ class SieveTable:
         if not 2 <= n <= self.limit:
             raise ValueError(f"n={n} outside sieve range [2, {self.limit}]")
         return self.spf[n]
+
+    @functools.cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pk, rest), int32 arrays (int64 from 2**31) with n = pk[n] rest[n] and pk[n] the
+        full power of spf(n) dividing n (pk[1] = rest[1] = 1).  The primes up to sqrt(limit),
+        largest first, write their powers, lowest first, at their multiples (odd ones for odd
+        p), so the last write at n is the full power of its least prime; primes keep pk[n] = n."""
+        n = np.arange(self.limit + 1, dtype=np.int32 if self.limit < 2**31 else np.int64)
+        pk = n.copy()
+        for p in reversed(self.primes[: bisect.bisect_right(self.primes, math.isqrt(self.limit))]):
+            q = p
+            while q <= self.limit:
+                pk[q :: q if p == 2 else 2 * q] = q
+                q *= p
+        return pk, n // np.maximum(pk, 1)
 
 
 def build_sieve(limit: int) -> SieveTable:

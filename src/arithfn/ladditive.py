@@ -8,19 +8,26 @@ rationals; h must never vanish.
 
 The natural-log variant (f(p) = log p) is irrational-valued and therefore
 lives in the float-based series module, not here.
+
+The sieve tabulators of every function class share two helpers here: values
+at the prime powers (prime_power_table) and one recurrence (split_recurrence).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import UnknownNameError
 from .factor import (
     SignedFactorization,
     SieveTable,
+    _primes_from,
     factorize,
     is_prime,
 )
@@ -29,6 +36,12 @@ Rational = Union[int, Fraction]
 # Default rules for primes absent from a custom function's finite maps:
 # a constant, the prime itself, or its reciprocal.
 DefaultRule = Union[int, Fraction, str]  # "identity" | "reciprocal" | constant
+
+
+def exact_ratio(a: int, b: int) -> Rational:
+    """a/b as an int when b divides a, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def as_exact(v: Rational) -> Rational:
@@ -223,7 +236,7 @@ def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = 
 
 
 def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> list:
-    """Values f(1..limit) as a padded list (index 0 unused) via the Leibniz split n = p*m.
+    """Values f(1..limit) as a padded list (index 0 unused): leibniz_numerators with k = 0.
 
     Bulk companion to eval_natural; the two paths agree and are tested
     against each other.
@@ -232,19 +245,91 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
         raise ValueError("limit must be >= 1")
     if sieve.limit < limit:
         raise ValueError("sieve does not cover the requested limit")
-    spf = sieve.spf
-    f: list = [0] * (limit + 1)
-    h: list = [1] * (limit + 1)
-    prime_pair: dict[int, tuple[Rational, Rational]] = {}
-    for n in range(2, limit + 1):
-        p = spf[n]
-        if p == n:
-            # at_prime keeps integral values as ints, so integral functions
-            # tabulate in int arithmetic rather than Fraction arithmetic.
-            f[n], h[n] = prime_pair[n] = fn.at_prime(n)
-            continue
-        fp, hp = prime_pair[p]
-        m = n // p
-        f[n] = fp * h[m] + f[m] * hp
-        h[n] = hp * h[m]
-    return f
+    return leibniz_numerators(fn, limit, sieve).tolist()
+
+
+def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable, k: int = 0) -> np.ndarray:
+    """n**k f(n) on [0, limit] from a sieve covering limit: the Leibniz-additive function with
+    prime values p**k f(p) and p**k h(p), which takes a f(p) h(p)**(a-1) and h(p)**a at p**a."""
+    ps = _primes_from(sieve, limit)
+    pairs = [fn.at_prime(p) for p in ps]
+    fs, hs = [f for f, _ in pairs], [h for _, h in pairs]
+    if k:
+        fs, hs = ([exact_ratio(x.numerator * p**k, x.denominator) for x, p in zip(xs, ps)] for xs in (fs, hs))
+    f_pk = prime_power_table(limit, ps, fs, lambda i, a: a * fs[i] * hs[i] ** (a - 1))
+    return split_recurrence(sieve, limit, prime_power_table(limit, ps, hs, lambda i, a: hs[i] ** a), f_pk)
+
+
+def exact_array(values: Sequence) -> np.ndarray:
+    """[0, *values] as numerators: int64 when all are ints in range, else object dtype.
+    Anything but an int or a Fraction raises TypeError naming its n (values[n - 1]),
+    since int64 would truncate it silently."""
+    types = set(map(type, values))
+    if not types <= {int, Fraction}:
+        for n, v in enumerate(values, 1):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"value at n = {n} is not an exact rational (int or Fraction): {v!r}")
+    num = np.zeros(len(values) + 1, np.int64 if types <= {int} else object)
+    try:
+        num[1:] = values
+    except OverflowError:  # an int beyond int64
+        num = num.astype(object)
+        num[1:] = values
+    return num
+
+
+def prime_power_table(limit: int, ps: list, at_primes: list, at_power: Callable[[int, int], Rational]) -> np.ndarray:
+    """Values on [0, limit] at the prime powers, 0 elsewhere: at_primes[i] at the prime ps[i]
+    (ps the primes <= limit) and at_power(i, a) at ps[i]**a, a >= 2; int64 when all are ints
+    in range, else object dtype."""
+    higher = {
+        p**a: at_power(i, a)
+        for i, p in enumerate(ps[: bisect.bisect_right(ps, math.isqrt(limit))])
+        for a in range(2, limit.bit_length())
+        if p**a <= limit
+    }
+    num = exact_array([*at_primes, *higher.values()])
+    table = np.zeros(limit + 1, num.dtype)
+    table[[*ps, *higher]] = num[1:]
+    return table
+
+
+def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray, f_pk: Optional[np.ndarray] = None) -> np.ndarray:
+    """The multiplicative h, or with f_pk the Leibniz-additive f with companion h, on [0, limit],
+    from the values at the prime powers, as one recurrence v[n] = A[n] + B[n] v[rest[n]] over
+    n = pk * rest (SieveTable.split), B = h_pk[pk]: h(n) = h(pk) h(rest) with A = [n == 1], then
+    f(n) = f(pk) h(rest) + h(pk) f(rest) with A = f_pk[pk] h[rest].  As rest[n] <= n/2, a chunk
+    [lo, hi) with hi <= 2 lo reads only finished entries: one gather, product and sum each.
+
+    int64 when the tables are and their shadow, the same run in float64 on |h_pk| and |f_pk|,
+    stays below 2**62; else object.  By induction on n, the exact run on |A| and |B| bounds
+    |v[n]|, |A[n]| and |B[n] v[rest[n]]|, and it equals the tables at prime powers.  The shadow
+    takes a product and a sum per distinct prime of n, at most 15 (16 primes multiply past
+    2**63): a relative error below 2**-47, for which 2**62 leaves room under 2**63 - 1.
+    """
+    pk, rest = (x[: limit + 1] for x in sieve.split)
+    tables = [x for x in (h_pk, f_pk) if x is not None]
+
+    def run(dtype: type, cast: Callable[[np.ndarray], np.ndarray]) -> list:
+        out: list = []  # h, then f when f_pk is given
+        for a_pk in (None, f_pk)[: len(tables)]:
+            v = np.zeros(limit + 1, dtype)
+            v[1] = 0 if out else 1
+            lo = 2
+            while lo <= limit:
+                hi = min(2 * lo, lo + 2**15, limit + 1)  # 2**15 bounds the temporaries
+                p, r = pk[lo:hi], rest[lo:hi]
+                x = cast(h_pk.take(p)) * v.take(r)
+                if out:
+                    x += cast(a_pk.take(p)) * out[0].take(r)
+                v[lo:hi] = x
+                lo = hi
+            out.append(v)
+        return out
+
+    if all(x.dtype == np.int64 for x in tables):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
+            fits = max(x.max() for x in run(np.float64, lambda x: np.abs(x, dtype=np.float64))) < 2.0**62
+        if fits:
+            return run(np.int64, lambda x: x)[-1]
+    return run(object, lambda x: x.astype(object))[-1]

@@ -20,6 +20,7 @@ from arithfn import (
     TabulatedFunction,
     build_sieve,
     convolve_at,
+    custom,
     dirichlet_convolve,
     dirichlet_inverse,
     evaluate_at,
@@ -32,6 +33,7 @@ from arithfn import (
     verify_identity,
 )
 from arithfn import convolution
+from arithfn.ladditive import eval_natural, leibniz_numerators
 from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
@@ -234,6 +236,94 @@ class TestTabulate:
                 tab(text, 50, cache=cache)._vals[7] = -1
         assert cache[("tau", 50)].tolist() == cached  # no returned table can write into the cache
         assert t3.values() == [v * v for v in t1.values()]
+
+
+class TestSieveClasses:
+    """Every sieve class tabulates from its prime-power values through one recurrence, in
+    int64 exactly when the float64 shadow of that recurrence stays below 2**62."""
+
+    def test_series_builtins_stay_int64(self):
+        for name, k, limit in (("sigma_2", 2, 2 * 10**5), ("sigma_3", 3, 10**6)):
+            t = tab(name, limit)
+            assert t._vals.dtype == np.int64, name
+            assert t[limit] == naive_sigma_k(limit, k), name
+
+    def test_large_values_go_object(self):
+        t = tab("sigma_64", 300)
+        assert t._vals.dtype == object
+        assert t.values() == [naive_sigma_k(n, 64) for n in range(1, 301)]
+        fn = custom("big_h", {}, {3: 2**40}, f_default=1)  # h(3**2) = 2**80
+        num = leibniz_numerators(fn, 300, build_sieve(300))
+        assert num.dtype == object
+        assert num[1:].tolist() == [eval_natural(fn, n) for n in range(1, 301)]
+
+    @pytest.mark.parametrize(
+        "e, dtype", [({62: 1, 10: -1}, np.int64), ({62: 1, 10: 1}, object)]
+    )
+    def test_multiplicative_edge(self, e, dtype):
+        # f(2) = 2**62 - 2**10 just below the bound, or 2**62 + 2**10 just above it
+        num = convolution._zeta_product(e).tabulate(2, build_sieve(2))
+        assert num.dtype == dtype
+        assert num.tolist() == [0, 1, sum(ej * 2**j for j, ej in e.items())]
+
+    @pytest.mark.parametrize(
+        "f_map, h_map, dtype",
+        [
+            # the sum f(6) = f(2) + f(3) with h = 1: 2**62 - 2**10, or 2**62
+            ({2: 2**61 - 2**9, 3: 2**61 - 2**9}, {}, np.int64),
+            ({2: 2**61 - 2**9, 3: 2**61 + 2**9}, {}, object),
+            # the companion h(6) = h(2) h(3): 2**62 - 2**9, or 2**62
+            ({2: 1}, {2: 2, 3: 2**61 - 2**8}, np.int64),
+            ({2: 1}, {2: 2, 3: 2**61}, object),
+        ],
+    )
+    def test_leibniz_edge(self, f_map, h_map, dtype):
+        fn = custom("edge", f_map, h_map)
+        num = leibniz_numerators(fn, 6, build_sieve(6))
+        assert num.dtype == dtype
+        assert num.tolist() == [0] + [eval_natural(fn, n) for n in range(1, 7)]
+
+    @pytest.mark.parametrize("limit", [30029, 30030, 510510])
+    def test_primorial_edges(self, limit):
+        # 30030 and 510510 are the first n with 6 and 7 distinct prime factors
+        sieve = build_sieve(limit)
+        for name in ("tau", "phi", "delta", "big_omega"):
+            assert tab(name, limit, sieve=sieve)[limit] == evaluate_at(Builtin(name), limit), name
+
+    def test_cache_rejects_inexact_numerators(self, monkeypatch):
+        tau = convolution._CATALOG["tau"]
+        floats = dataclasses.replace(tau, tabulate=lambda limit, sieve: tau.tabulate(limit, sieve).astype(float))
+        monkeypatch.setitem(convolution._CATALOG, "tau", floats)
+        cache = {}
+        with pytest.raises(TypeError, match="float64 numerators"):
+            tab("tau . delta", 50, cache=cache)
+        assert ("tau", 50) not in cache
+
+
+def euler_product(e, limit):
+    """prod_j zeta(s - j)**e[j] on [1, limit] as Dirichlet powers of id_j, by the kernel
+    and dirichlet_inverse: independent of the sieve tabulators."""
+    t = TabulatedFunction.from_values([1] + [0] * (limit - 1))
+    for j, ej in e.items():
+        id_j = TabulatedFunction.from_values([n**j for n in range(1, limit + 1)])
+        factor = id_j if ej > 0 else dirichlet_inverse(id_j)
+        for _ in range(abs(ej)):
+            t = dirichlet_convolve(t, factor)
+    return t
+
+
+ZETA_SIEVE = build_sieve(2**10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=5))
+def test_zeta_products_match_their_euler_product(e):
+    limit = 2**10
+    impl = convolution._zeta_product(e)
+    values = impl.tabulate(limit, ZETA_SIEVE)[1:].tolist()
+    assert values == euler_product(e, limit).values()
+    # impl.at is what evaluate_at gives for a builtin of this class
+    assert values == [impl.at(n) for n in range(1, limit + 1)]
 
 
 class TestDirichletConvolve:
@@ -540,7 +630,7 @@ class TestScaledTables:
         ld = convolution.resolve_builtin("ld")
 
         def corrupted_tab(limit, sieve):
-            vals = ld.tabulate(limit, sieve)
+            vals = ld.tabulate(limit, sieve).astype(object)  # int64 would truncate the 1/7
             if limit >= 360:
                 vals[360] += Fraction(1, 7) * 360**ld.k  # the value at 360 is off by 1/7
             return vals
@@ -805,6 +895,23 @@ class TestTabulatedFunctionIO:
         t, u = TabulatedFunction(3, padded), TabulatedFunction.from_values(values)
         padded[1] = values[0] = 99
         assert t.values() == [1, 2, 3] and u.values() == [1, Fraction(1, 2), 2**70]
+
+    def test_strings_are_the_values_in_lowest_terms(self):
+        # int, scaled, Fraction and wide-int tables; c = 1 and k = 0 take the no-gcd path
+        rng = random.Random(11)
+        tables = [tab(text, 60) for text in ("tau", "-2 . tau", "3/2 . ld", "1/3 . (ld * tau)", "id_-2 . delta")]
+        tables += [
+            random_tabulation(rng, 60),
+            TabulatedFunction.from_values([2**70, -3, Fraction(1, 2), 0, Fraction(4, 2)]),
+        ]
+        for t in tables:
+            strs = [fraction_to_str(Fraction(v)) for v in t.values()]
+            assert t.to_json() == json.dumps({"limit": t.limit, "values": strs})
+            buf = io.StringIO()
+            t.to_csv(buf)
+            assert buf.getvalue() == "n,value\r\n" + "".join(f"{n},{v}\r\n" for n, v in enumerate(strs, 1))
+        assert tab("-2 . tau", 3).to_json() == '{"limit": 3, "values": ["-2/1", "-4/1", "-4/1"]}'
+        assert tab("3/2 . ld", 4).to_json() == '{"limit": 4, "values": ["0/1", "3/4", "1/2", "3/2"]}'
 
     def test_fraction_to_str(self):
         assert [fraction_to_str(v) for v in (0, -3, Fraction(6, 4), Fraction(-1, 3))] == [

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfn import (
     LAdditiveFunction,
@@ -228,6 +230,33 @@ class TestBulkTabulation:
     def test_requires_covering_sieve(self):
         with pytest.raises(ValueError):
             tabulate_l_additive(delta(), 100, build_sieve(50))
+
+
+PRIME_VALUES = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6))
+PRIMES = (2, 3, 5, 7, 11, 13, 31)
+LEIBNIZ_SIEVE = build_sieve(2**10)
+
+
+@st.composite
+def custom_functions(draw):
+    """Custom functions with negative and Fraction prime values and every kind of default."""
+    nonzero = PRIME_VALUES.filter(bool)
+    rule = st.sampled_from(("identity", "reciprocal"))
+    return custom(
+        "drawn",
+        draw(st.dictionaries(st.sampled_from(PRIMES), PRIME_VALUES, max_size=4)),
+        draw(st.dictionaries(st.sampled_from(PRIMES), nonzero, max_size=4)),
+        f_default=draw(st.one_of(PRIME_VALUES, rule)),
+        h_default=draw(st.one_of(nonzero, rule)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(custom_functions())
+def test_bulk_tabulation_matches_eval_natural(fn):
+    limit = 2**10
+    vals = tabulate_l_additive(fn, limit, LEIBNIZ_SIEVE)
+    assert vals == [0] + [eval_natural(fn, n, LEIBNIZ_SIEVE) for n in range(1, limit + 1)]
 
 
 class TestCustomFunctions:
