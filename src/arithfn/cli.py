@@ -32,7 +32,10 @@ from .factor import build_sieve, factorize, factorize_rational
 from .ladditive import eval_natural, eval_rational, l_additive_by_token
 from .series import check_series_identity, list_series_presets
 
-_LIMIT_HELP = "table window [1, N]; memory is about two machine words per integer up to N (the sieve, and its int32 split arrays)"
+_LIMIT_HELP = (
+    "table window [1, N]; memory is about one and a half machine words per integer up to N "
+    "(the int32 sieve and its int32 split arrays)"
+)
 
 
 def _rational_arg(text: str) -> tuple[int, int]:

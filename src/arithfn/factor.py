@@ -2,6 +2,13 @@
 
 Every other module evaluates arithmetic functions through the factorizations
 produced here, so this module sticks to exact integer arithmetic throughout.
+
+Past the sieve, n is trial-divided below B = 1000, so every n < B**2 is factored
+by division alone.  A cofactor m >= B**2 is tested by Miller-Rabin to the prime
+bases 2..41, exact for m < psi_13 = 3317044064679887385961981 (Sorenson & Webster,
+2015), and a composite m is split by Brent's rho (Brent, 1980), part by part.  A
+composite m < psi_13 has a prime factor below 1.9e12, which rho finds in about
+10**6 steps (under 3 s); a cofactor m >= psi_13 is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -10,9 +17,10 @@ import bisect
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +32,76 @@ class PrimePower(NamedTuple):
     exponent: int
 
 
+# Trial division stops at B.  Near 10**3, the divisions and one 13-base test of a
+# 12-digit cofactor cost the same order of time (on Python 3.11, divisions up to
+# 10**3 take about 25 us; the test takes about 100 us on a prime and under 10 us on
+# most composites), so a larger B buys little.
+_B = 1000
+# psi_13, the least strong pseudoprime to all of _MR_BASES: the test is exact below it.
+_PSI13 = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _require_int(n: object) -> None:
+    if not isinstance(n, int):
+        raise TypeError(f"expected an int, got {n!r}")
+
+
+def _is_prime_large(m: int, n: int) -> bool:
+    """Miller-Rabin to _MR_BASES for odd m >= _B**2 with no prime factor below _B;
+    a cofactor of n, which is named when m is past the exact range."""
+    if m >= _PSI13:
+        raise ValueError(
+            f"{n} is out of range: its cofactor {m} has no prime factor below {_B} and is not "
+            f"below {_PSI13}, where the primality test stops being exact"
+        )
+    s = ((m - 1) & -(m - 1)).bit_length() - 1  # m - 1 = d * 2**s with d odd
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(m: int) -> int:
+    """A proper divisor of the odd composite m, by Brent's cycle search on y -> y*y + c."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for n below ~10**12)."""
+    """Deterministic primality test: trial division below B = 1000, then for n >= B**2
+    Miller-Rabin to the prime bases 2..41, exact for n < psi_13 = 3317044064679887385961981
+    (Sorenson & Webster, 2015).  An n >= psi_13 with no prime factor below B raises a
+    ValueError; a non-int raises a TypeError."""
+    _require_int(n)
     if n < 2:
         return False
     if n % 2 == 0:
@@ -33,11 +109,11 @@ def is_prime(n: int) -> bool:
     if n % 3 == 0:
         return n == 3
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _B:
         if n % f == 0 or n % (f + 2) == 0:
             return False
         f += 6
-    return True
+    return n < _B * _B or _is_prime_large(n, n)
 
 
 @dataclass(frozen=True)
@@ -106,16 +182,18 @@ class SignedFactorization:
 class SieveTable:
     """Smallest-prime-factor table for 2..limit; spf[n] is the least prime dividing n.
 
-    spf[0] and spf[1] are unused filler; primes lists the primes <= limit in
-    increasing order.  Memory is one machine word per integer up to the limit,
-    plus the primes, and one more for split once tabulation builds it: two
-    int32 arrays, half of what int64 would take.  spf stays a list, which
-    factorize reads one entry at a time.  Treat as read-only after construction.
+    spf[0] and spf[1] are unused filler; primes holds the primes <= limit in
+    increasing order.  Both are int32 arrays (int64 from 2**31), which read one
+    entry at a time as fast as lists of the same ints and take half a machine
+    word per entry, without an int object for each prime.  Memory is half a
+    machine word per integer up to the limit, plus the primes, and one machine
+    word more for split once tabulation builds it: two int32 arrays, half of
+    what int64 would take.  Treat as read-only after construction.
     """
 
     limit: int
-    spf: list[int]
-    primes: list[int]
+    spf: array
+    primes: array
 
     def smallest_prime_factor(self, n: int) -> int:
         if not 2 <= n <= self.limit:
@@ -146,19 +224,28 @@ def build_sieve(limit: int) -> SieveTable:
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    spf = [2] * (limit + 1)
+    code = "i" if limit < 2**31 else "q"
+    spf = array(code, [2]) * (limit + 1)
     spf[0] = spf[1] = 0
     root = math.isqrt(limit)
     primes = primes_up_to(limit)
     for p in reversed(primes):
         if 2 < p <= root:
-            spf[p * p :: 2 * p] = [p] * ((limit - p * p) // (2 * p) + 1)
+            spf[p * p :: 2 * p] = array(code, [p]) * ((limit - p * p) // (2 * p) + 1)
         spf[p] = p
-    return SieveTable(limit, spf, primes)
+    return SieveTable(limit, spf, array(code, primes))
 
 
 def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
-    """Prime factorization of n >= 1; uses the sieve when it covers n."""
+    """Prime factorization of n >= 1; uses the sieve when it covers n.
+
+    Otherwise it trial-divides below B = 1000.  A cofactor m >= B**2 is tested by
+    Miller-Rabin to the prime bases 2..41, exact for m < psi_13 =
+    3317044064679887385961981 (Sorenson & Webster, 2015), and a composite one is
+    split by Brent's rho (Brent, 1980), recursively.  A cofactor m >= psi_13
+    raises a ValueError that names n; a non-int raises a TypeError.
+    """
+    _require_int(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: list[PrimePower] = []
@@ -172,7 +259,7 @@ def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
                 a += 1
             out.append(PrimePower(p, a))
         return Factorization(tuple(out))
-    # Trial division up to sqrt(n); exact for any n this package targets.
+    # Trial division up to min(sqrt(n), B); what is left is 1, a prime, or >= B**2.
     for p in (2, 3):
         if n % p == 0:
             a = 0
@@ -181,7 +268,7 @@ def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
                 a += 1
             out.append(PrimePower(p, a))
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _B:
         for p in (f, f + 2):
             if n % p == 0:
                 a = 0
@@ -190,7 +277,18 @@ def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
                     a += 1
                 out.append(PrimePower(p, a))
         f += 6
-    if n > 1:
+    if n >= _B * _B:
+        whole = n * math.prod(p**a for p, a in out)
+        large, stack = [], [n]
+        while stack:  # every part has no prime factor below B, so one under B**2 is prime
+            m = stack.pop()
+            if m < _B * _B or _is_prime_large(m, whole):
+                large.append(m)
+            else:
+                d = _rho(m)
+                stack += [d, m // d]
+        out += [PrimePower(p, len(list(g))) for p, g in itertools.groupby(sorted(large))]
+    elif n > 1:
         out.append(PrimePower(n, 1))
     return Factorization(tuple(out))
 
@@ -223,8 +321,8 @@ def primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), flags))
 
 
-def _primes_from(sieve: Optional[SieveTable], limit: int) -> list[int]:
-    """The primes <= limit, cut from the sieve's list when it covers limit."""
+def _primes_from(sieve: Optional[SieveTable], limit: int) -> Sequence[int]:
+    """The primes <= limit, cut from the sieve's array when it covers limit."""
     if sieve is None or sieve.limit < limit:
         return primes_up_to(limit)
     return sieve.primes[: bisect.bisect_right(sieve.primes, limit)]

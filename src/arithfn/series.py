@@ -409,7 +409,7 @@ def check_series_identity(
     truncation error, which is the caller's choice of limit; rhs is computed
     about three digits finer than the tolerance.  The primes of F come from the
     sieve (built over [1, limit] when none is given) when it covers prime_limit:
-    a sieve table costs a word per integer, primes_up_to a byte.
+    a sieve table costs half a word per integer, primes_up_to a byte.
     """
     preset = _SERIES_PRESETS.get(name)
     if preset is None:

@@ -1,6 +1,7 @@
 """The claim rule of tools/bench_pairs.py, on synthetic runs (no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -88,3 +89,36 @@ def test_all_runs_every_workload_from_one_export(monkeypatch, tmp_path, capsys):
     assert headers == [f"workload {w}, parent HEAD, 2 pairs from seed 7" for w in bench_pairs.WORKLOADS]
     walls = [line.split() for line in out if line.startswith("wall_s")]
     assert len(walls) == 4 and all(f[5] == "2/2" for f in walls)
+
+
+def test_json_holds_the_printed_summary_of_every_workload(monkeypatch, tmp_path, capsys):
+    export = tmp_path / "export"  # removed by main on exit
+    export.mkdir()
+
+    def run_once(tree, workload, seed):
+        value = 1.0 if tree == export else 0.5 + 0.01 * seed
+        names = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
+        return {"metrics": {m: {"value": value} for m in names}, "failed": seed % 2, "attempted": 4}
+
+    monkeypatch.setattr(bench_pairs, "export_tree", lambda rev: export)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--workload", "points", "--pairs", "3", "--seed", "1", "--json", str(path)]
+    assert bench_pairs.main(argv) == 0
+    obj = json.loads(path.read_text())
+    assert (obj["parent"], obj["pairs"], obj["seed"], list(obj["workloads"])) == ("HEAD", 3, 1, ["points"])
+    points = obj["workloads"]["points"]
+    assert points["metrics"]["wall_s"] == {
+        "parent_median": 1.0,
+        "change_median": 0.52,
+        "parent_iqr": 0.0,
+        "wins": 3,
+        "pairs": 3,
+        "gain": True,
+        "bound": "ok",
+    }
+    assert points["parent"] == {"failed": 2, "attempted": 12}
+    assert points["change"] == {"failed": 2, "attempted": 12}
+    printed = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("wall_s")]
+    assert printed == [["wall_s", "1", "0.52", "0.520", "0", "3/3", "yes", "ok"]]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,42 @@ class TestFactorCommand:
     def test_malformed_rational(self, capsys):
         assert run(["factor", "--rational", "8:9"]) == 2
         assert run(["factor", "--rational", "0/3"]) == 2
+
+
+BIG_PRIME = "1000000000000000003"
+PAST_PSI13 = "10000000000039000000000000037"  # no prime factor below 1000, and above psi_13
+
+
+class TestFactorBoundary:
+    """Inputs past trial division: prime tests and factorizations that once ran for hours."""
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["factor", BIG_PRIME], f"{BIG_PRIME} = {BIG_PRIME}"),
+            (["eval", "delta", BIG_PRIME], "1"),
+            (["eval", f"delta_p:{BIG_PRIME}", "6"], "0"),
+            (["factor", str(2**200)], f"{2**200} = 2^200"),
+        ],
+        ids=["factor-prime", "delta-prime", "partial-at-prime", "smooth"],
+    )
+    def test_exits_zero_within_seconds(self, capsys, argv, out):
+        start = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 5
+        assert out_lines(capsys) == [out]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", PAST_PSI13], ["eval", "delta", "--rational", f"1/{PAST_PSI13}"]],
+        ids=["factor", "eval-rational"],
+    )
+    def test_cofactor_past_psi13_exits_two_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert PAST_PSI13 in captured.err and "Traceback" not in captured.err
 
 
 class TestEvalCommand:

@@ -1,6 +1,11 @@
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfn import (
     Factorization,
@@ -88,6 +93,102 @@ class TestFactorize:
     def test_large_input_without_sieve(self):
         n = 2**3 * 10**9 + 7  # a few big cofactors
         assert factorize(n).value() == n
+
+    def test_smooth_input_past_the_cap(self):
+        assert [tuple(f) for f in factorize(2**200 * 3**5 * 997)] == [(2, 200), (3, 5), (997, 1)]
+
+    def test_cofactor_past_psi13_is_refused_by_name(self):
+        n = 7 * 10000000000039000000000000037
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+
+
+PSI12 = 318665857834031151167461  # strong pseudoprime to the prime bases 2..37
+PSI13 = 3317044064679887385961981
+
+
+def random_prime(sympy, rng, digits):
+    return int(sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits)))
+
+
+class TestLargePrimality:
+    def test_agrees_with_trial_division_to_1e4(self):
+        assert [n for n in range(10**4 + 1) if is_prime(n)] == naive_primes_up_to(10**4)
+
+    def test_agrees_with_sympy_below_psi13(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2015)
+        ns = [rng.randrange(2, 10 ** rng.randint(6, 24)) for _ in range(2000)]
+        ns += [sympy.nextprime(n) for n in ns[:200]]  # primes of every size
+        ns += [p * p for p in ns[-200:] if p * p < PSI13]  # squares of primes
+        for n in ns:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, PSI12])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_psi12_passes_every_base_but_41(self):
+        # it reaches the last base, so the test above exercises the full base set
+        m, s = PSI12 - 1, 0
+        while m % 2 == 0:
+            m, s = m // 2, s + 1
+
+        def strong(a):
+            x = pow(a, m, PSI12)
+            return x in (1, PSI12 - 1) or any(pow(x, 2**i, PSI12) == PSI12 - 1 for i in range(1, s))
+
+        assert all(strong(a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        assert not strong(41)
+
+    def test_refuses_past_psi13(self):
+        with pytest.raises(ValueError, match=str(PSI13)):
+            is_prime(PSI13)
+        assert not is_prime(PSI13 + 1)  # even numbers need no test
+
+    @pytest.mark.parametrize("call", [factorize, is_prime, divisors], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [12.5, 2.5, 12.0, "12", Fraction(12)], ids=repr)
+    def test_non_int_rejected_by_name(self, call, value):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            call(value)
+
+    def test_non_int_rational_rejected(self):
+        with pytest.raises(TypeError, match="2.5"):
+            factorize_rational(2.5, 3)
+        with pytest.raises(TypeError, match="3.0"):
+            factorize_rational(2, 3.0)
+
+
+class TestLargeFactorize:
+    def test_agrees_with_sympy_on_products_of_large_primes(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1980)
+        cases = 0
+        while cases < 150:
+            primes = [random_prime(sympy, rng, rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+            n = math.prod(primes)
+            if n >= PSI13:
+                continue
+            cases += 1
+            assert dict(factorize(n)) == sympy.factorint(n), primes
+
+    @pytest.mark.parametrize("digits", [4, 6, 9, 12])
+    def test_squares_and_cubes_of_primes_above_b(self, digits):
+        sympy = pytest.importorskip("sympy")
+        p = random_prime(sympy, random.Random(digits), digits)
+        for k in (2, 3):
+            if p**k < PSI13:
+                assert [tuple(f) for f in factorize(p**k)] == [(p, k)]
+                assert [tuple(f) for f in factorize(6 * p**k)] == [(2, 1), (3, 1), (p, k)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=PSI13 - 1))
+    def test_round_trip_below_psi13(self, n):
+        fact = factorize(n)
+        assert fact.value() == n
+        primes = [p for p, _ in fact]
+        assert primes == sorted(set(primes))
+        assert all(is_prime(p) for p in primes)
 
 
 class TestFactorizeRational:

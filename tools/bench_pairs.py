@@ -1,7 +1,7 @@
 """Alternating parent/change runs of benchmark workloads, summarised per metric.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload catalog --pairs 10 --seed 100
-    python3 tools/bench_pairs.py --parent HEAD~1 --workload all --pairs 5 --seed 100
+    python3 tools/bench_pairs.py --parent HEAD~1 --workload all --pairs 5 --seed 100 --json BENCH.json
 
 The change side is the working tree that holds this script; the parent side
 is REV, exported with ``git archive`` into a temporary directory (honouring
@@ -67,12 +67,11 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
+def summary(spec: dict, parent: list[dict], change: list[dict]) -> dict:
+    """Per end-to-end metric: both medians, the parent's IQR, the change's wins, the
+    claim and bound verdicts; then failed/attempted operations for each side."""
     pairs = len(parent)
-    out = [
-        f"{'metric':<12} {'parent':>10} {'change':>10} {'ratio':>7} {'parent IQR':>10} "
-        f"{'wins':>6} {'gain':>5} {'bound':>10}"
-    ]
+    metrics = {}
     for m in spec["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         p = [r["metrics"][name]["value"] for r in parent]
@@ -88,14 +87,37 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
             verdict = "unresolved"  # the spread hides the bound, and the runs overlap
         else:
             verdict = "ok"
+        metrics[name] = {
+            "parent_median": pm,
+            "change_median": cm,
+            "parent_iqr": q3 - q1,
+            "wins": wins,
+            "pairs": pairs,
+            "gain": gain,
+            "bound": verdict,
+        }
+    sides = {
+        label: {"failed": sum(r["failed"] for r in runs), "attempted": sum(r["attempted"] for r in runs)}
+        for label, runs in (("parent", parent), ("change", change))
+    }
+    return {"metrics": metrics, **sides}
+
+
+def summarise(spec: dict, parent: list[dict], change: list[dict]) -> list[str]:
+    """The summary as the printed table."""
+    s = summary(spec, parent, change)
+    out = [
+        f"{'metric':<12} {'parent':>10} {'change':>10} {'ratio':>7} {'parent IQR':>10} "
+        f"{'wins':>6} {'gain':>5} {'bound':>10}"
+    ]
+    for name, r in s["metrics"].items():
+        pm, cm = r["parent_median"], r["change_median"]
         out.append(
-            f"{name:<12} {pm:>10.4g} {cm:>10.4g} {cm / pm:>7.3f} {q3 - q1:>10.3g} "
-            f"{wins:>3}/{pairs:<2} {'yes' if gain else 'no':>5} {verdict:>10}"
+            f"{name:<12} {pm:>10.4g} {cm:>10.4g} {cm / pm:>7.3f} {r['parent_iqr']:>10.3g} "
+            f"{r['wins']:>3}/{r['pairs']:<2} {'yes' if r['gain'] else 'no':>5} {r['bound']:>10}"
         )
-    for label, runs in (("parent", parent), ("change", change)):
-        failed = sum(r["failed"] for r in runs)
-        attempted = sum(r["attempted"] for r in runs)
-        out.append(f"{label} failed/attempted = {failed}/{attempted}")
+    for label in ("parent", "change"):
+        out.append(f"{label} failed/attempted = {s[label]['failed']}/{s[label]['attempted']}")
     return out
 
 
@@ -108,6 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
+    parser.add_argument("--json", metavar="PATH", help="also write the summary of every workload to PATH as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -132,6 +155,10 @@ def main(argv=None) -> int:
     for w in workloads:
         print(f"workload {w}, parent {args.parent}, {args.pairs} pairs from seed {args.seed}")
         print("\n".join(summarise(spec, *runs[w])))
+    if args.json:
+        obj = {"parent": args.parent, "pairs": args.pairs, "seed": args.seed}
+        obj["workloads"] = {w: summary(spec, *runs[w]) for w in workloads}
+        Path(args.json).write_text(json.dumps(obj, indent=2) + "\n")
     return 0
 
 
