@@ -15,14 +15,13 @@ import json
 import sys
 
 from .convolution import (
-    MangoldtOf,
     VerificationReport,
     convolve_at,
     dirichlet_convolve,
     fraction_to_str,
     list_identity_presets,
-    mangoldt_eval,
     parse_expression,
+    resolve_builtin,
     tabulate,
     verify_all,
     verify_identity,
@@ -180,11 +179,7 @@ def _cmd_eval(args) -> int:
     if token.startswith("mangoldt:"):
         if args.rational is not None:
             raise ValueError("mangoldt functions are defined on natural numbers only")
-        try:
-            m = MangoldtOf(l_additive_by_token(token.split(":", 1)[1]))
-        except UnknownNameError:
-            raise UnknownNameError(token) from None
-        value = mangoldt_eval(m, args.n)
+        value = resolve_builtin(token).at(args.n)
         argument = str(args.n)
     else:
         fn = l_additive_by_token(token)

@@ -22,8 +22,8 @@ tabulator and one point evaluator that works from the factorization:
 
 A class tabulates as its prime-power values (id_k: np.arange**k) and, for the
 multiplicative and Leibniz-additive ones, one shared recurrence
-(ladditive.split_recurrence); ld's numerators n ld(n) are the Leibniz-additive
-function with prime values p * (1/p, 1) = (1, p), that is delta.
+(ladditive.split_recurrence); ld = delta/id tabulates as delta's numerators
+n ld(n) = delta(n) with k = 1.
 
 Numeric literals are scalars and combine through "." only.
 
@@ -273,30 +273,41 @@ class Neg(Expr):
     child: Expr
 
 
-# Precedence: atoms 3, pointwise 2, convolution 1, additive 0.  The binary
+def _unary(e: Expr) -> Expr:
+    """e as it renders: a Scale by 1 as its child, a negative one as the unary minus over its
+    absolute value, "-(2 . tau)", which parses where "-2 . tau" does not (after "*" or ".")."""
+    while isinstance(e, Scale) and e.coeff == 1:
+        e = e.child
+    return Neg(Scale(-e.coeff, e.child)) if isinstance(e, Scale) and e.coeff < 0 else e
+
+
+# Precedence: atoms 4, pointwise 3, scaling 2, convolution 1, additive 0; the parser folds
+# the scalars of a pointwise chain, so a Scale inside one renders in parentheses.  Binary
 # operators are left-associative, so right operands render one level stricter.
 def _render(e: Expr, parent: int) -> str:
+    e = _unary(e)
     if isinstance(e, Builtin):
         return _SHORT_NAMES.get(e.name, e.name)
     if isinstance(e, Mul):
-        s = f"{_render(e.left, 2)} . {_render(e.right, 3)}"
-        level = 2
+        s = f"{_render(e.left, 3)} . {_render(e.right, 4)}"
+        level = 3
     elif isinstance(e, Scale):
         c = e.coeff
         cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        s = f"{cs} . {_render(e.child, 2)}"
+        s = f"{cs} . {_render(e.child, 3)}"
         level = 2
     elif isinstance(e, Conv):
         s = f"{_render(e.left, 1)} * {_render(e.right, 2)}"
         level = 1
     elif isinstance(e, Add):
-        if isinstance(e.right, Neg):
-            s = f"{_render(e.left, 0)} - {_render(e.right.child, 1)}"
+        right = _unary(e.right)
+        if isinstance(right, Neg):
+            s = f"{_render(e.left, 0)} - {_render(right.child, 1)}"
         else:
-            s = f"{_render(e.left, 0)} + {_render(e.right, 1)}"
+            s = f"{_render(e.left, 0)} + {_render(right, 1)}"
         level = 0
     elif isinstance(e, Neg):
-        s = f"-{_render(e.child, 3)}"
+        s = f"-{_render(e.child, 4)}"
         level = 0
     else:  # pragma: no cover - exhaustive
         raise TypeError(f"not an expression node: {e!r}")
@@ -542,9 +553,9 @@ def _zeta_product(e: dict) -> BuiltinImpl:
     return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)), euler=e)
 
 
-def _leibniz_additive(fn: LAdditiveFunction, k: int = 0) -> BuiltinImpl:
-    """Leibniz-additive f with companion h: numerators n**k f(n), and eval_natural."""
-    return BuiltinImpl(lambda limit, sieve: leibniz_numerators(fn, limit, sieve, k), lambda n: eval_natural(fn, n), k)
+def _leibniz_additive(fn: LAdditiveFunction) -> BuiltinImpl:
+    """Leibniz-additive f with companion h: numerators f(n), and eval_natural."""
+    return BuiltinImpl(lambda limit, sieve: leibniz_numerators(fn, limit, sieve), lambda n: eval_natural(fn, n))
 
 
 @dataclass(frozen=True)
@@ -607,14 +618,15 @@ def normalize_builtin_name(name: str) -> str:
     return _ALIASES.get(name, name)
 
 
+_DELTA = _leibniz_additive(delta())
 _CATALOG = {
     "one": _power(0),
     "eps": _zeta_product({}),
     "mu": _zeta_product({0: -1}),
     "tau": _zeta_product({0: 2}),
     "phi": _zeta_product({1: 1, 0: -1}),
-    "delta": _leibniz_additive(delta()),
-    "ld": _leibniz_additive(ld(), 1),
+    "delta": _DELTA,
+    "ld": BuiltinImpl(_DELTA.tabulate, functools.partial(eval_natural, ld()), 1),  # n ld(n) = delta(n)
 }
 
 
@@ -928,11 +940,12 @@ def _over(lhs: str, rhs: str, *gs: str) -> tuple[tuple[str, str], ...]:
 def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, TabulatedFunction, str]]:
     # Completely multiplicative h distributes over convolution:
     # h.(u * v) = (h.u) * (h.v), exercised with h = id on random rational tables
-    # with values p/q, |p| <= 3 and q <= 4, held as ints over 12.
-    rng = random.Random(seed)
-    u = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
-    v = [0] + [rng.randint(-3, 3) * (12 // rng.randint(1, 4)) for _ in range(limit)]
-    u, v = (_scaled(limit, Fraction(1, 12), 0, np.array(w, dtype=np.int64)) for w in (u, v))
+    # with values p/q, |p| <= 3 and q <= 4, held as ints over 12, drawn in one call
+    # (numpy.random would cost about 6 MB of memory to load).
+    draws = random.Random(seed).choices([p * (12 // q) for p in range(-3, 4) for q in range(1, 5)], k=2 * limit)
+    uv = np.zeros((2, limit + 1), np.int64)
+    uv[:, 1:] = np.reshape(draws, (2, limit))
+    u, v = (_scaled(limit, Fraction(1, 12), 0, w) for w in uv)
     h = _scaled(limit, _ONE, 0, np.arange(limit + 1, dtype=np.int64))
     label = "id . (u * v) = (id . u) * (id . v)"
     yield _mul(h, dirichlet_convolve(u, v)), dirichlet_convolve(_mul(h, u), _mul(h, v)), label

@@ -3,12 +3,13 @@
 Every other module evaluates arithmetic functions through the factorizations
 produced here, so this module sticks to exact integer arithmetic throughout.
 
-Past the sieve, n is trial-divided below B = 1000, so every n < B**2 is factored
-by division alone.  A cofactor m >= B**2 is tested by Miller-Rabin to the prime
-bases 2..41, exact for m < psi_13 = 3317044064679887385961981 (Sorenson & Webster,
-2015), and a composite m is split by Brent's rho (Brent, 1980), part by part.  A
-composite m < psi_13 has a prime factor below 1.9e12, which rho finds in about
-10**6 steps (under 3 s); a cofactor m >= psi_13 is refused with a ValueError.
+Past the sieve, is_prime and factorize share one trial pass over the 168 primes
+below B = 1000, so every n < B**2 is factored by division alone.  The first 13 of
+those primes, 2..41, are the Miller-Rabin bases for a cofactor m >= B**2: the test
+is exact for m < psi_13 = 3317044064679887385961981 (Sorenson & Webster, 2015), and
+a composite m is split by Brent's rho (Brent, 1980), part by part.  A composite
+m < psi_13 has a prime factor below 1.9e12, which rho finds in about 10**6 steps
+(under 3 s); a cofactor m >= psi_13 is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -32,14 +33,28 @@ class PrimePower(NamedTuple):
     exponent: int
 
 
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, increasing.  Plain Eratosthenes over a bytearray."""
+    if limit < 2:
+        return []
+    flags = bytearray(b"\x01") * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            start = p * p
+            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
+    return list(itertools.compress(range(limit + 1), flags))
+
+
 # Trial division stops at B.  Near 10**3, the divisions and one 13-base test of a
 # 12-digit cofactor cost the same order of time (on Python 3.11, divisions up to
 # 10**3 take about 25 us; the test takes about 100 us on a prime and under 10 us on
 # most composites), so a larger B buys little.
 _B = 1000
-# psi_13, the least strong pseudoprime to all of _MR_BASES: the test is exact below it.
+# The trial divisors; the first 13, 2..41, are the Miller-Rabin bases.
+_SMALL_PRIMES = primes_up_to(_B)
+# psi_13, the least strong pseudoprime to the bases 2..41: the test is exact below it.
 _PSI13 = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _require_int(n: object) -> None:
@@ -47,8 +62,30 @@ def _require_int(n: object) -> None:
         raise TypeError(f"expected an int, got {n!r}")
 
 
+def _divide_out(n: int, p: int, out: list) -> int:
+    """n without its factors p, whose power p**a is appended to out; p divides n."""
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    out.append(PrimePower(p, a))
+    return n
+
+
+def _trial(n: int) -> tuple[list, int]:
+    """(prime powers of n found below B, cofactor) for n >= 1; the cofactor is 1, a prime,
+    or a number >= B**2 with no prime factor below B."""
+    out: list[PrimePower] = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n = _divide_out(n, p, out)
+    return out, n
+
+
 def _is_prime_large(m: int, n: int) -> bool:
-    """Miller-Rabin to _MR_BASES for odd m >= _B**2 with no prime factor below _B;
+    """Miller-Rabin to the bases 2..41 for odd m >= _B**2 with no prime factor below _B;
     a cofactor of n, which is named when m is past the exact range."""
     if m >= _PSI13:
         raise ValueError(
@@ -57,7 +94,7 @@ def _is_prime_large(m: int, n: int) -> bool:
         )
     s = ((m - 1) & -(m - 1)).bit_length() - 1  # m - 1 = d * 2**s with d odd
     d = (m - 1) >> s
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES[:13]:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -97,23 +134,15 @@ def _rho(m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: trial division below B = 1000, then for n >= B**2
-    Miller-Rabin to the prime bases 2..41, exact for n < psi_13 = 3317044064679887385961981
-    (Sorenson & Webster, 2015).  An n >= psi_13 with no prime factor below B raises a
-    ValueError; a non-int raises a TypeError."""
+    """Deterministic primality test: n has no prime factor in the trial pass below B = 1000,
+    and its cofactor is below B**2 or passes Miller-Rabin to the bases 2..41, exact below
+    psi_13 = 3317044064679887385961981 (Sorenson & Webster, 2015).  An n >= psi_13 with no
+    prime factor below B raises a ValueError; a non-int raises a TypeError."""
     _require_int(n)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    f = 5
-    while f * f <= n and f < _B:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return n < _B * _B or _is_prime_large(n, n)
+    found, m = _trial(n)
+    return not found and (m < _B * _B or _is_prime_large(m, n))
 
 
 @dataclass(frozen=True)
@@ -239,8 +268,8 @@ def build_sieve(limit: int) -> SieveTable:
 def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
     """Prime factorization of n >= 1; uses the sieve when it covers n.
 
-    Otherwise it trial-divides below B = 1000.  A cofactor m >= B**2 is tested by
-    Miller-Rabin to the prime bases 2..41, exact for m < psi_13 =
+    Otherwise it runs the trial pass over the primes below B = 1000.  A cofactor
+    m >= B**2 is tested by Miller-Rabin to the bases 2..41, exact for m < psi_13 =
     3317044064679887385961981 (Sorenson & Webster, 2015), and a composite one is
     split by Brent's rho (Brent, 1980), recursively.  A cofactor m >= psi_13
     raises a ValueError that names n; a non-int raises a TypeError.
@@ -248,48 +277,24 @@ def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
     _require_int(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    out: list[PrimePower] = []
     if sieve is not None and n <= sieve.limit:
-        spf = sieve.spf
+        out: list[PrimePower] = []
         while n > 1:
-            p = spf[n]
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append(PrimePower(p, a))
+            n = _divide_out(n, sieve.spf[n], out)
         return Factorization(tuple(out))
-    # Trial division up to min(sqrt(n), B); what is left is 1, a prime, or >= B**2.
-    for p in (2, 3):
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            out.append(PrimePower(p, a))
-    f = 5
-    while f * f <= n and f < _B:
-        for p in (f, f + 2):
-            if n % p == 0:
-                a = 0
-                while n % p == 0:
-                    n //= p
-                    a += 1
-                out.append(PrimePower(p, a))
-        f += 6
-    if n >= _B * _B:
-        whole = n * math.prod(p**a for p, a in out)
-        large, stack = [], [n]
+    out, m = _trial(n)
+    if m >= _B * _B:
+        large, stack = [], [m]
         while stack:  # every part has no prime factor below B, so one under B**2 is prime
             m = stack.pop()
-            if m < _B * _B or _is_prime_large(m, whole):
+            if m < _B * _B or _is_prime_large(m, n):
                 large.append(m)
             else:
                 d = _rho(m)
                 stack += [d, m // d]
         out += [PrimePower(p, len(list(g))) for p, g in itertools.groupby(sorted(large))]
-    elif n > 1:
-        out.append(PrimePower(n, 1))
+    elif m > 1:
+        out.append(PrimePower(m, 1))
     return Factorization(tuple(out))
 
 
@@ -306,19 +311,6 @@ def factorize_rational(
         exps[p] = exps.get(p, 0) - a
     factors = tuple(PrimePower(p, e) for p, e in sorted(exps.items()) if e != 0)
     return SignedFactorization(factors)
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, increasing.  Plain Eratosthenes over a bytearray."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return list(itertools.compress(range(limit + 1), flags))
 
 
 def _primes_from(sieve: Optional[SieveTable], limit: int) -> Sequence[int]:

@@ -236,7 +236,7 @@ def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = 
 
 
 def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> list:
-    """Values f(1..limit) as a padded list (index 0 unused): leibniz_numerators with k = 0.
+    """Values f(1..limit) as a padded list (index 0 unused), from leibniz_numerators.
 
     Bulk companion to eval_natural; the two paths agree and are tested
     against each other.
@@ -248,14 +248,12 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
     return leibniz_numerators(fn, limit, sieve).tolist()
 
 
-def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable, k: int = 0) -> np.ndarray:
-    """n**k f(n) on [0, limit] from a sieve covering limit: the Leibniz-additive function with
-    prime values p**k f(p) and p**k h(p), which takes a f(p) h(p)**(a-1) and h(p)**a at p**a."""
+def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> np.ndarray:
+    """f(n) on [0, limit] from a sieve covering limit, by f(p**a) = a f(p) h(p)**(a-1) and
+    h(p**a) = h(p)**a."""
     ps = _primes_from(sieve, limit)
     pairs = [fn.at_prime(p) for p in ps]
     fs, hs = [f for f, _ in pairs], [h for _, h in pairs]
-    if k:
-        fs, hs = ([exact_ratio(x.numerator * p**k, x.denominator) for x, p in zip(xs, ps)] for xs in (fs, hs))
     f_pk = prime_power_table(limit, ps, fs, lambda i, a: a * fs[i] * hs[i] ** (a - 1))
     return split_recurrence(sieve, limit, prime_power_table(limit, ps, hs, lambda i, a: hs[i] ** a), f_pk)
 

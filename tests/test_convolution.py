@@ -77,6 +77,24 @@ def random_tabulation(rng, limit):
     )
 
 
+ROUND_TRIP_SIEVE = build_sieve(60)
+
+
+def expression_trees(depth):
+    """Random trees of at most depth levels over a few builtins, with every node type and
+    Scale coefficients that include zero and negative ones."""
+    leaves = st.sampled_from(["one", "id_1", "mu", "tau", "delta", "ld"]).map(Builtin)
+    if depth == 0:
+        return leaves
+    sub = expression_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Scale, st.fractions(-3, 3, max_denominator=4), sub),
+        st.builds(Neg, sub),
+        *(st.builds(node, sub, sub) for node in (Add, Mul, Conv)),
+    )
+
+
 class TestParser:
     def test_pointwise_binds_tighter_than_conv(self):
         e = parse_expression("id . mu * delta")
@@ -162,6 +180,20 @@ class TestParser:
         for text in texts:
             e = parse_expression(text)
             assert parse_expression(str(e)) == e
+
+    def test_negative_scale_renders_as_unary_minus(self):
+        e = Conv(Builtin("id_1"), Scale(Fraction(-2), Builtin("tau")))
+        assert str(e) == "id * (-(2 . tau))"
+        assert str(Add(Builtin("one"), Scale(Fraction(-1, 2), Builtin("mu")))) == "one - 1/2 . mu"
+        assert tabulate(parse_expression(str(e)), 60) == tabulate(e, 60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expression_trees(3))
+    def test_rendered_trees_parse_back(self, e):
+        text = str(e)
+        parsed = parse_expression(text)
+        assert str(parsed) == text
+        assert tabulate(parsed, 60, ROUND_TRIP_SIEVE) == tabulate(e, 60, ROUND_TRIP_SIEVE)
 
 
 class TestTabulate:
@@ -797,7 +829,7 @@ class TestVerifier:
         assert all(r.holds for r in reports)
 
     def test_compmult_distr_seeds(self):
-        for seed in (0, 1, 99):
+        for seed in (0, 1, 99, -1):
             assert verify_identity("compmult-distr", 300, seed=seed).holds
 
     def test_catalog_contents(self):

@@ -128,6 +128,19 @@ class TestLargePrimality:
     def test_strong_pseudoprimes_are_composite(self, n):
         assert not is_prime(n)
 
+    # 997 is the last trial divisor below B = 1000, and 1000003 the least prime past B**2.
+    @pytest.mark.parametrize(
+        "factors", [[(997, 2)], [(991, 1), (997, 1)], [(997, 1), (1009, 1)], [(1000003, 1)]], ids=str
+    )
+    def test_at_the_trial_bound(self, factors):
+        n = math.prod(p**a for p, a in factors)
+        assert [tuple(f) for f in factorize(n)] == factors
+        assert is_prime(n) == (factors == [(n, 1)])
+
+    def test_is_prime_agrees_with_factorize_around_b_squared(self):
+        for n in range(10**6 - 3000, 10**6 + 3001):
+            assert is_prime(n) == (factorize(n).factors == ((n, 1),)) == naive_is_prime(n), n
+
     def test_psi12_passes_every_base_but_41(self):
         # it reaches the last base, so the test above exercises the full base set
         m, s = PSI12 - 1, 0
