@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from .convolution import (
@@ -28,7 +29,7 @@ from .convolution import (
 )
 from .errors import OutOfDomainError, ParseError, UnknownNameError
 from .factor import build_sieve, factorize, factorize_rational
-from .ladditive import eval_natural, eval_rational, l_additive_by_token
+from .ladditive import eval_rational, l_additive_by_token
 from .series import check_series_identity, list_series_presets
 
 _LIMIT_HELP = (
@@ -72,9 +73,16 @@ def _positive_float(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    if v <= 0:
-        raise argparse.ArgumentTypeError("value must be > 0")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError("value must be finite and > 0")
     return v
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text, like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache  # one tree per process: building it costs about 25 parses
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output encoding (default: table)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="arithfn",
         description="Exact arithmetic-function identities and Dirichlet series checks.",
     )
@@ -100,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="evaluate a function at n or p/q")
     p.add_argument(
         "fn",
-        help="delta | delta_p:<prime> | ld | big_omega | mangoldt:<fn>",
+        help="a builtin name, as in expressions (tau, id_-1, mangoldt:ld); "
+        "--rational takes delta, delta_p:<prime>, ld and big_omega",
     )
     p.add_argument("n", nargs="?", type=_positive_int, help="natural argument")
     p.add_argument("--rational", type=_rational_arg, metavar="P/Q", help="rational argument")
@@ -176,20 +185,16 @@ def _cmd_eval(args) -> int:
     if (args.n is None) == (args.rational is None):
         raise ValueError("eval takes either a natural number or --rational P/Q")
     token = args.fn
-    if token.startswith("mangoldt:"):
-        if args.rational is not None:
-            raise ValueError("mangoldt functions are defined on natural numbers only")
-        value = resolve_builtin(token).at(args.n)
-        argument = str(args.n)
+    impl = resolve_builtin(token)
+    if args.n is not None:
+        value, argument = impl.at(args.n), str(args.n)
     else:
-        fn = l_additive_by_token(token)
-        if args.n is not None:
-            value = eval_natural(fn, args.n)
-            argument = str(args.n)
-        else:
-            p, q = args.rational
-            value = eval_rational(fn, p, q)
-            argument = f"{p}/{q}"
+        try:
+            fn = l_additive_by_token(token)
+        except UnknownNameError:
+            raise ValueError(f"{token} is defined on natural numbers only") from None
+        p, q = args.rational
+        value, argument = eval_rational(fn, p, q), f"{p}/{q}"
     header, row = ["function", "argument", "value"], [token, argument, fraction_to_str(value)]
     _emit(args.format, str(value), header, [row], dict(zip(header, row)))
     return 0

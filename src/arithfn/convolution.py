@@ -10,6 +10,18 @@ Expression syntax (also used by the command line):
     + -                addition, subtraction, unary minus
     ()                 grouping
 
+    sum   := term (('+' | '-') term)*
+    term  := ['-'] conv
+    conv  := point ('*' point)*
+    point := atom ('.' atom)*       (its scalars fold into one Scale coefficient)
+    atom  := number | name | '(' sum ')'
+
+Text is ASCII, and ASCII whitespace may surround tokens.  A number is
+digits with an optional '/' and digits, p/q with q >= 1; a name is a letter
+or '_' then letters, digits and '_', with a trailing '_-digits' (id_-1) and
+':'-joined suffixes (delta_p:5, mangoldt:ld) belonging to it.  Any other
+character is a ParseError.
+
 Builtins fall into four function classes; each class has one sieve
 tabulator and one point evaluator that works from the factorization:
 
@@ -65,6 +77,7 @@ import json
 import math
 import operator
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,61 +334,31 @@ def _render(e: Expr, parent: int) -> str:
 # Bounds the parser's recursion (six frames per open parenthesis) and the tree depth
 # that _tab, _render and evaluate_at recurse over, well inside the default limit of 1000.
 _MAX_TOKENS = 128
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_BODY = _NAME_START | set("0123456789")
+# One match per token, as the module docstring describes; "bad" is any other character
+# but whitespace, so trailing whitespace matches nothing and is skipped.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d*)?)|(?P<name>[A-Za-z_]\w*(?:(?<=_)-\d+)?(?::\w*)*)"
+    r"|(?P<op>[-*.+()])|(?P<bad>\S))",
+    re.ASCII,
+)
 
 
 def _lex(text: str) -> list[tuple[str, object]]:
     tokens: list[tuple[str, object]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or not text[k].isdigit():
-                    raise ParseError(f"malformed rational at position {i}: {text[i:]!r}")
-                m = k
-                while m < n and text[m].isdigit():
-                    m += 1
-                den = int(text[k:m])
-                j = m
-            tokens.append(("num", Fraction(num, den)))
-            i = j
-            continue
-        if c in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_BODY:
-                j += 1
-            # "id_-1": a trailing "_-digits" belongs to the name.
-            if text[j - 1] == "_" and j + 1 < n and text[j] == "-" and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # colon-joined suffixes: delta_p:5, mangoldt:ld, mangoldt:delta_p:5
-            while j < n and text[j] == ":":
-                k = j + 1
-                while k < n and (text[k] in _NAME_BODY):
-                    k += 1
-                if k == j + 1:
-                    raise ParseError(f"dangling ':' in name at position {i}")
-                j = k
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if c in "*.+-()":
-            tokens.append(("op", c))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i}")
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, i = m[kind], m.start(kind)
+        if kind == "num":
+            num, slash, den = tok.partition("/")
+            try:
+                tok = Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError):  # "p/", "p/0", or too many digits for int()
+                raise ParseError(f"malformed rational at position {i}: {text[i:]!r}") from None
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r} at position {i}")
+        elif kind == "name" and "" in tok.split(":"):
+            raise ParseError(f"dangling ':' in name at position {i}")
+        tokens.append((kind, tok))
     if len(tokens) > _MAX_TOKENS:
         raise ParseError(f"expression too long: more than {_MAX_TOKENS} tokens")
     tokens.append(("end", None))
@@ -387,97 +370,65 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, object]:
-        return self.tokens[self.pos]
+    def take(self, ops: str) -> Optional[str]:
+        """The next token, consumed, if it is one of the operators ops; else None."""
+        kind, val = self.tokens[self.pos]
+        if kind == "op" and val in ops:
+            self.pos += 1
+            return val
+        return None
 
-    def take(self) -> tuple[str, object]:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str) -> None:
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
-    # sum := term (('+'|'-') term)*
     def parse_sum(self) -> Union[Expr, Fraction]:
         node = self.parse_term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.parse_term()
-                node = _as_expr(node)
-                rhs = _as_expr(rhs)
-                node = Add(node, Neg(rhs) if val == "-" else rhs)
-            else:
-                return node
+        while op := self.take("+-"):
+            rhs = _as_expr(self.parse_term())
+            node = Add(_as_expr(node), Neg(rhs) if op == "-" else rhs)
+        return node
 
-    # term := ['-'] conv
     def parse_term(self) -> Union[Expr, Fraction]:
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            inner = self.parse_conv()
-            if isinstance(inner, Fraction):
-                return -inner
-            return Neg(inner)
-        return self.parse_conv()
+        if not self.take("-"):
+            return self.parse_conv()
+        inner = self.parse_conv()
+        return -inner if isinstance(inner, Fraction) else Neg(inner)
 
-    # conv := point ('*' point)*
     def parse_conv(self) -> Union[Expr, Fraction]:
         node = self.parse_point()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                rhs = self.parse_point()
-                if isinstance(node, Fraction) or isinstance(rhs, Fraction):
-                    raise ParseError(
-                        "a bare scalar cannot be a Dirichlet-convolution operand; "
-                        "use the constant function 'one' or attach the scalar with '.'"
-                    )
-                node = Conv(node, rhs)
-            else:
-                return node
+        while self.take("*"):
+            rhs = self.parse_point()
+            if isinstance(node, Fraction) or isinstance(rhs, Fraction):
+                raise ParseError(
+                    "a bare scalar cannot be a Dirichlet-convolution operand; "
+                    "use the constant function 'one' or attach the scalar with '.'"
+                )
+            node = Conv(node, rhs)
+        return node
 
-    # point := atom ('.' atom)*   (scalars fold into a Scale coefficient)
     def parse_point(self) -> Union[Expr, Fraction]:
-        coeff = Fraction(1)
-        chain: Optional[Expr] = None
-        for atom in self._point_atoms():
+        coeff, chain, more = 1, None, True
+        while more:
+            atom = self.parse_atom()
             if isinstance(atom, Fraction):
                 coeff *= atom
             else:
                 chain = atom if chain is None else Mul(chain, atom)
+            more = self.take(".")
         if chain is None:
             return coeff
-        if coeff != 1:
-            return Scale(coeff, chain)
-        return chain
-
-    def _point_atoms(self):
-        yield self.parse_atom()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == ".":
-                self.take()
-                yield self.parse_atom()
-            else:
-                return
+        return chain if coeff == 1 else Scale(coeff, chain)
 
     def parse_atom(self) -> Union[Expr, Fraction]:
-        kind, val = self.take()
+        kind, val = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
             return val  # type: ignore[return-value]
         if kind == "name":
             node = Builtin(normalize_builtin_name(str(val)))
             resolve_builtin(node.name)  # unknown names fail here, not at tabulation
             return node
-        if kind == "op" and val == "(":
+        if val == "(":
             inner = self.parse_sum()
-            self.expect_op(")")
+            if not self.take(")"):
+                raise ParseError(f"expected ')', found {self.tokens[self.pos][1]!r}")
             return inner
         raise ParseError(f"unexpected token {val!r}")
 
@@ -492,7 +443,7 @@ def parse_expression(text: str) -> Expr:
     """Parse the expression grammar; unknown builtin names fail immediately."""
     p = _Parser(text)
     node = p.parse_sum()
-    kind, val = p.peek()
+    kind, val = p.tokens[p.pos]
     if kind != "end":
         raise ParseError(f"trailing input at token {val!r}")
     return _as_expr(node)
@@ -633,29 +584,23 @@ _CATALOG = {
 # Family exponents beyond this make every value a huge power; such a name fails
 # at parse time instead of hanging tabulation or point evaluation.
 _MAX_EXPONENT = 64
-
-
-def _family_exponent(name: str, k: int) -> int:
-    if abs(k) > _MAX_EXPONENT:
-        raise ParseError(f"exponent of {name!r} out of range: |k| must be <= {_MAX_EXPONENT}")
-    return k
+_FAMILY = re.compile(r"(id_-?|sigma_)0*(\d+)", re.ASCII)  # the digits without leading zeros
 
 
 # A family member depends only on its name, so resolutions are memoized.
 @functools.lru_cache(maxsize=64)
 def _resolve_family(name: str) -> Optional[BuiltinImpl]:
-    if name.startswith("id_"):
-        try:
-            k = int(name[3:])
-        except ValueError:
-            return None
-        return _power(_family_exponent(name, k))
-    if name.startswith("sigma_"):
-        if not name[6:].isdigit():
-            return None
-        k = _family_exponent(name, int(name[6:]))
-        # sigma_k = one * id_k; for k = 0 both factors are zeta(s), so sigma_0 = tau
-        return _zeta_product({0: 2} if k == 0 else {0: 1, k: 1})
+    family = _FAMILY.fullmatch(name)
+    if family:
+        prefix, digits = family.groups()
+        # more than two digits exceed the cap (and int() refuses 4300 of them)
+        k = int(digits) if len(digits) <= 2 else _MAX_EXPONENT + 1
+        if k > _MAX_EXPONENT:
+            raise ParseError(f"exponent of {name!r} out of range: |k| must be <= {_MAX_EXPONENT}")
+        if prefix == "sigma_":
+            # sigma_k = one * id_k; for k = 0 both factors are zeta(s), so sigma_0 = tau
+            return _zeta_product({0: 2} if k == 0 else {0: 1, k: 1})
+        return _power(-k if prefix == "id_-" else k)
     prefix, _, token = name.partition(":")
     mangoldt = prefix == "mangoldt"
     try:

@@ -147,7 +147,7 @@ def l_additive_by_token(token: str) -> LAdditiveFunction:
         return big_omega()
     if token.startswith("delta_p:"):
         tail = token.split(":", 1)[1]
-        if not tail.isdigit():
+        if not (tail.isascii() and tail.isdigit()):
             raise UnknownNameError(token)
         return delta_partial(int(tail))
     raise UnknownNameError(token)

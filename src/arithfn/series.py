@@ -86,8 +86,8 @@ _ZETA_MAX_N = 1 << 16  # bounds zeta's N, which starts at |Im(s)| and doubles to
 
 def _as_finite_complex(s: ComplexLike, label: str = "s") -> complex:
     z = complex(s)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{label} must be finite, got {z}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):  # abs(z) raises past the float range
+        raise ValueError(f"|{label}| must be finite, got {z}")
     return z
 
 
@@ -148,16 +148,20 @@ def _powers(ns: np.ndarray, s: complex) -> tuple[np.ndarray, Union[float, np.nda
 
     One pow for real s: 4 units for all.  exp(-s log n) otherwise: an array
     of 11 + 5 |s| log n units, and 0 where the power underflows to 0, which
-    the underflow charge of "Rounding" above covers instead.
+    the underflow charge of "Rounding" above covers instead.  Where Im(s) log n
+    overflows the phase is lost, and OutOfDomainError is raised.
     """
     if s.imag == 0.0:
         return ns ** (-s.real), 4.0
     e = np.log(ns)
-    with np.errstate(over="ignore"):  # -s log n beyond the float range: the power is 0
+    # -s log n beyond the float range: the power is 0, or NaN when the phase overflows
+    with np.errstate(over="ignore", invalid="ignore"):
         powers = np.exp(-s * e)
         # 11 + 5 |s| log n, in place of log n for peak memory
         e *= 5.0
         e *= abs(s)
+    if np.isnan(powers).any():
+        raise OutOfDomainError(f"Im(s) log n overflows at s = {s}: the phase of n**-s is lost")
     e += 11.0
     e[powers == 0] = 0.0
     return powers, e
@@ -223,7 +227,8 @@ def prime_F(
     1/(p**(s+1) - p) <= C * p**(-Re(s)-1) with C = 1/(1 - 2**(-Re(s)))
     (C <= 2 once Re(s) >= 1), so the dropped tail is at most the integral
     C * prime_limit**(-Re(s)) / Re(s).  The same C enters rounding_bound,
-    through the subtraction of p.
+    through the subtraction of p.  Where Im(s) log p overflows the phase is
+    lost, and OutOfDomainError is raised.
     """
     z = _as_finite_complex(s)
     re = z.real
@@ -235,6 +240,8 @@ def prime_F(
     with np.errstate(over="ignore", invalid="ignore"):
         power = ps ** (re + 1.0) if z.imag == 0.0 else np.exp((z + 1) * np.log(ps))
         terms = 1.0 / (power - ps)
+    if np.isnan(power).any():
+        raise OutOfDomainError(f"Im(s) log p overflows at s = {z}: the phase of p**(s+1) is lost")
     overflowed = ~np.isfinite(power)
     terms[overflowed] = 0.0
     c = 1.0 / (1.0 - 2.0 ** (-re))
@@ -418,8 +425,8 @@ def check_series_identity(
         raise ValueError("limit must be >= 1")
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     _, coeff = preset
     if "{k}" in coeff:
         if k < 0:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -5,10 +6,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfn import cli, convolution
 from arithfn.cli import run
-from arithfn.convolution import VerificationReport
+from arithfn.convolution import VerificationReport, list_identity_presets
+from arithfn.series import list_series_presets
+from test_convolution import expression_trees
 
 
 def out_lines(capsys):
@@ -106,6 +111,18 @@ class TestEvalCommand:
 
     def test_unknown_function(self, capsys):
         assert run(["eval", "sqrt", "4"]) == 2
+
+    def test_every_builtin_as_in_expressions(self, capsys):
+        for name in ["one", "id", "id_-1", "eps", "mu", "tau", "phi", "sigma_2", "ld", "mangoldt:delta_p:2"]:
+            assert run(["eval", name, "360"]) == 0
+            assert run(["convolve", name, "eps", "--at", "360"]) == 0
+            value, conv = out_lines(capsys)
+            assert value == conv, name
+
+    @pytest.mark.parametrize("name", ["tau", "id", "mangoldt:delta"])
+    def test_rational_takes_leibniz_additive_names_only(self, capsys, name):
+        assert run(["eval", name, "--rational", "7/12"]) == 2
+        assert capsys.readouterr().err == f"error: {name} is defined on natural numbers only\n"
 
     def test_json(self, capsys):
         assert run(["eval", "ld", "8", "--format", "json"]) == 0
@@ -215,6 +232,21 @@ class TestSeriesCommand:
 
     def test_unknown_preset(self, capsys):
         assert run(["series", "cor-42", "--s", "4"]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "s",
+        ["1.2711610061536462e+308,1.2711610061536464e+308", "2,1.6363308087894492e+308"],
+        ids=["modulus-overflows", "phase-overflows"],
+    )
+    def test_point_near_the_float_range(self, capsys, s):
+        assert run(["series", "lemma-Fld", f"--s={s}", "--limit", "3", "--primes", "2"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_must_be_finite(self, capsys, tol):
+        assert run(["series", "thm3.3", "--s", "5", "--tol", tol]) == 2
+        assert capsys.readouterr().err == "arithfn series: error: argument --tol: value must be finite and > 0\n"
 
 
 class TestDeepExpressions:
@@ -327,3 +359,56 @@ class TestJsonRoundTripsViaCli:
         text = capsys.readouterr().out
         r = VerificationReport.from_json(text)
         assert r.to_json() == json.dumps(json.loads(text))
+
+
+# Argument strategies for the CLI property test.  Expression texts join one to three
+# pieces: rendered trees with at most one convolution, builtin and unknown names, junk
+# tokens (non-ASCII digits and spaces among them) and p/q with q = 0 allowed.  Point
+# evaluation by divisor enumeration recurses once per nested convolution, so --at draws
+# from the same small window as --limit.
+_NAMES = st.sampled_from(
+    ["one", "id", "id_-1", "id_64", "eps", "mu", "tau", "phi", "sigma", "sigma_0", "delta", "ld", "big_omega",
+     "delta_p:3", "mangoldt:ld", "mangoldt:delta_p:2", "sqrt", "id_65", "sigma_-1", "delta_p:9", "mangoldt:"]
+)
+_JUNK = st.sampled_from(["(", ")", "*", ".", "+", "-", "^", "/", ":", "1/", "\u00b2", "\u0661", "\u00a0", ""])
+_RATIONAL = st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 4))
+_EXPR = st.lists(
+    st.tuples(st.sampled_from(["", " ", " . ", " * ", " + ", " - "]),
+              st.one_of(expression_trees(1).map(str), _NAMES, _JUNK, _RATIONAL)),
+    min_size=1, max_size=3,
+).map(lambda pieces: "".join(sep + piece for sep, piece in pieces))
+_N = st.one_of(st.integers(-1, 10**12).map(str), st.sampled_from(["", "x", "1.5", "\u0661"]))
+_WINDOW = st.integers(-1, 60)
+_FLOAT = st.floats().map(repr)  # nan, inf and -inf included
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["eval", "convolve", "verify", "series", "factor"]))
+    if command in ("eval", "factor"):
+        argv = [draw(st.one_of(_NAMES, _EXPR))] if command == "eval" else []
+        argv += draw(st.one_of(_N.map(lambda n: [n]), _RATIONAL.map(lambda r: [f"--rational={r}"])))
+    elif command == "convolve":
+        argv = [draw(_EXPR), draw(_EXPR), f"--{draw(st.sampled_from(['limit', 'at']))}={draw(_WINDOW)}"]
+    elif command == "verify":
+        names = [name for name, _ in list_identity_presets()] + ["all", "eq99"]
+        argv = [draw(st.sampled_from(names)), f"--limit={draw(_WINDOW)}", f"--seed={draw(st.integers(-2, 2))}"]
+    else:
+        names = [name for name, _ in list_series_presets()] + ["cor-42"]
+        s = draw(st.one_of(_FLOAT, st.builds("{},{}".format, _FLOAT, _FLOAT)))
+        argv = [draw(st.sampled_from(names)), f"--s={s}", f"--tol={draw(_FLOAT)}",
+                f"--limit={draw(st.integers(-1, 200))}", f"--primes={draw(st.integers(-1, 200))}"]
+    return [command, *argv, f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_any_arguments_exit_cleanly(argv):
+    """Every command line ends in exit code 0, 1 or 2, and only code 2 writes to stderr:
+    one line, never a traceback or a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == (code == 2) and err.getvalue().endswith("\n" if code == 2 else "")

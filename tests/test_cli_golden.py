@@ -31,8 +31,8 @@ _BUILTINS = [
     "mangoldt:delta", "mangoldt:ld", "mangoldt:big_omega",
     "mangoldt:delta_p:2", "mangoldt:delta_p:5",
 ]
-_EVAL_TOKENS = ["delta", "ld", "big_omega", "delta_p:3", "mangoldt:ld"]
-_MALFORMED = ["sqrt", "mangoldt:foo", "delta_p:9", "delta_p:x", "id_x", "sigma_-1", "mangoldt:"]
+_EVAL_TOKENS = ["delta", "ld", "big_omega", "delta_p:3", "mangoldt:ld", "tau"]
+_MALFORMED = ["sqrt", "mangoldt:foo", "delta_p:9", "delta_p:x", "id_x", "sigma_-1", "mangoldt:", "1/0 . one"]
 # each series preset at the bound of its half-plane, which it rejects
 _SERIES_BOUNDS = [
     ("lemma-Fld", "1"), ("thm3.3", "2"), ("cor-tau", "2"), ("cor-mu", "2"), ("cor-phi", "3"), ("cor-sigma", "3"),

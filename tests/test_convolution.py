@@ -142,9 +142,16 @@ class TestParser:
     def test_family_exponents_are_capped(self):
         for name in ("id_64", "id_-64", "sigma_64"):
             assert parse_expression(name) == Builtin(name)
-        for name in ("id_65", "id_-65", "sigma_65", "sigma_99999999"):
+        for name in ("id_65", "id_-65", "sigma_65", "sigma_99999999", "id_" + "9" * 5000, "sigma_" + "9" * 5000):
             with pytest.raises(ParseError, match=name):
                 parse_expression(f"{name} * one")
+        for name in ("id_0002", "id_" + "0" * 5000, "sigma_" + "0" * 4999 + "64"):
+            assert parse_expression(name) == Builtin(name)
+
+    def test_outer_whitespace_is_ignored(self):
+        for text in ("one ", " one  ", "\tone\n"):
+            assert parse_expression(text) == Builtin("one")
+        assert parse_expression("id * mu\t") == parse_expression("id * mu")
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
@@ -156,7 +163,10 @@ class TestParser:
         assert Scale(2, Builtin("tau")).coeff == Fraction(2)
 
     def test_malformed(self):
-        for bad in ["", "id *", "(id", "id )", "1/", "id ^ 2", "mangoldt:"]:
+        for bad in [
+            "", "id *", "(id", "id )", "1/", "id ^ 2", "mangoldt:", "1/0 . one", "0/0 . one", "9" * 5000 + " . one",
+            "\u00b2 . one", "\u0661 . one", "one\u00a0+ one",
+        ]:
             with pytest.raises(ParseError):
                 parse_expression(bad)
 

@@ -319,8 +319,9 @@ class TestTokenLookup:
     def test_unknown(self):
         with pytest.raises(UnknownNameError):
             l_additive_by_token("zeta")
-        with pytest.raises(UnknownNameError):
-            l_additive_by_token("delta_p:x")
+        for token in ("delta_p:x", "delta_p:\u0663", "delta_p:\u00b2"):
+            with pytest.raises(UnknownNameError):
+                l_additive_by_token(token)
 
     def test_non_prime_subscript(self):
         with pytest.raises(ValueError):

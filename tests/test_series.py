@@ -194,6 +194,8 @@ class TestPrimeF:
             prime_F(0, 100)
         with pytest.raises(OutOfDomainError):
             prime_F(-1, 100)
+        with pytest.raises(OutOfDomainError, match="phase"):  # Im(s) log p overflows
+            prime_F(complex(2, 1.6363308087894492e308), 100)
         with pytest.raises(ValueError):
             prime_F(2, 1)
 
@@ -203,6 +205,12 @@ class TestPartialSum:
         t = tabulate(parse_expression("eps"), 10)
         for s in (2, 5.5, 3 + 2j):
             assert dirichlet_partial_sum(t, s).value == 1
+
+    def test_lost_phase_is_out_of_domain(self):
+        # Im(s) log n overflows for n >= 3: n**-s keeps a finite modulus but loses its phase
+        t = tabulate(parse_expression("delta"), 10)
+        with pytest.raises(OutOfDomainError, match="phase"):
+            dirichlet_partial_sum(t, complex(2, 1.6363308087894492e308))
 
     def test_ones_approach_zeta(self):
         t = tabulate(parse_expression("one"), 10**4)
@@ -363,8 +371,9 @@ class TestCheckSeriesIdentity:
             check_series_identity("thm3.3", 4, 0, 100, 1e-6)
         with pytest.raises(ValueError):
             check_series_identity("thm3.3", 4, 100, 1, 1e-6)
-        with pytest.raises(ValueError):
-            check_series_identity("thm3.3", 4, 100, 100, 0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                check_series_identity("thm3.3", 4, 100, 100, tol)
         with pytest.raises(ValueError):
             check_series_identity("cor-sigmak", 4, 100, 100, 1e-6, k=-1)
 
