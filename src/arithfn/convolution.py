@@ -7,11 +7,11 @@ Expression syntax (also used by the command line):
 
     *   Dirichlet convolution          one * id          -> sigma
     .   pointwise product / scaling    1/2 . tau . delta
-    + -                addition, subtraction, unary minus
+    + -                addition; subtraction and unary minus scale by -1
     ()                 grouping
 
     sum   := term (('+' | '-') term)*
-    term  := ['-'] conv
+    term  := ['-'] conv             (-x is Scale(-1, x), a - b is a + Scale(-1, b))
     conv  := point ('*' point)*
     point := atom ('.' atom)*       (its scalars fold into one Scale coefficient)
     atom  := number | name | '(' sum ')'
@@ -54,7 +54,7 @@ tabulators return arrays.  The form is closed under every operation on num:
         completely multiplicative id**-k distributes over Dirichlet
         convolution (the compmult-distr law h.(u * v) = (h.u) * (h.v))
     .   c1 c2, k1 + k2, numerators multiplied pointwise
-    + - align to one k and one c, then add numerators; scalars change only c
+    +   align to one k and one c, then add numerators; Scale (and so -) changes only c
     ^-1 (c a/n**k)^-1 = (1/c) a^-1/n**k by the same law, a^-1 by Newton's iteration
 
 Comparison aligns the same way and compares numerators.  Values are built
@@ -281,27 +281,26 @@ class Add(Expr):
     right: Expr
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    child: Expr
-
-
-def _unary(e: Expr) -> Expr:
-    """e as it renders: a Scale by 1 as its child, a negative one as the unary minus over its
-    absolute value, "-(2 . tau)", which parses where "-2 . tau" does not (after "*" or ".")."""
+def _unsigned(e: Expr) -> tuple[bool, Expr]:
+    """(negative, |e|) as e renders: a Scale by 1 as its child, a negative one as the unary minus
+    over its absolute value, "-(2 . tau)", which parses where "-2 . tau" does not (after "*" or ".")."""
     while isinstance(e, Scale) and e.coeff == 1:
         e = e.child
-    return Neg(Scale(-e.coeff, e.child)) if isinstance(e, Scale) and e.coeff < 0 else e
+    negative = isinstance(e, Scale) and e.coeff < 0
+    return negative, Scale(-e.coeff, e.child) if negative else e
 
 
 # Precedence: atoms 4, pointwise 3, scaling 2, convolution 1, additive 0; the parser folds
 # the scalars of a pointwise chain, so a Scale inside one renders in parentheses.  Binary
 # operators are left-associative, so right operands render one level stricter.
 def _render(e: Expr, parent: int) -> str:
-    e = _unary(e)
-    if isinstance(e, Builtin):
+    negative, e = _unsigned(e)
+    if negative:
+        s = f"-{_render(e, 4)}"
+        level = 0
+    elif isinstance(e, Builtin):
         return _SHORT_NAMES.get(e.name, e.name)
-    if isinstance(e, Mul):
+    elif isinstance(e, Mul):
         s = f"{_render(e.left, 3)} . {_render(e.right, 4)}"
         level = 3
     elif isinstance(e, Scale):
@@ -313,14 +312,8 @@ def _render(e: Expr, parent: int) -> str:
         s = f"{_render(e.left, 1)} * {_render(e.right, 2)}"
         level = 1
     elif isinstance(e, Add):
-        right = _unary(e.right)
-        if isinstance(right, Neg):
-            s = f"{_render(e.left, 0)} - {_render(right.child, 1)}"
-        else:
-            s = f"{_render(e.left, 0)} + {_render(right, 1)}"
-        level = 0
-    elif isinstance(e, Neg):
-        s = f"-{_render(e.child, 4)}"
+        negative, right = _unsigned(e.right)
+        s = f"{_render(e.left, 0)} {'-' if negative else '+'} {_render(right, 1)}"
         level = 0
     else:  # pragma: no cover - exhaustive
         raise TypeError(f"not an expression node: {e!r}")
@@ -332,7 +325,8 @@ def _render(e: Expr, parent: int) -> str:
 # ---------------------------------------------------------------------------
 
 # Bounds the parser's recursion (six frames per open parenthesis) and the tree depth
-# that _tab, _render and evaluate_at recurse over, well inside the default limit of 1000.
+# that _tab, _render and evaluate_at recurse over, well inside the default limit of 1000;
+# evaluate_at sums each convolution node once per divisor, so 64 chained factors take seconds.
 _MAX_TOKENS = 128
 # One match per token, as the module docstring describes; "bad" is any other character
 # but whitespace, so trailing whitespace matches nothing and is skipped.
@@ -382,14 +376,14 @@ class _Parser:
         node = self.parse_term()
         while op := self.take("+-"):
             rhs = _as_expr(self.parse_term())
-            node = Add(_as_expr(node), Neg(rhs) if op == "-" else rhs)
+            node = Add(_as_expr(node), Scale(-1, rhs) if op == "-" else rhs)
         return node
 
     def parse_term(self) -> Union[Expr, Fraction]:
         if not self.take("-"):
             return self.parse_conv()
         inner = self.parse_conv()
-        return -inner if isinstance(inner, Fraction) else Neg(inner)
+        return -inner if isinstance(inner, Fraction) else Scale(-1, inner)
 
     def parse_conv(self) -> Union[Expr, Fraction]:
         node = self.parse_point()
@@ -707,9 +701,9 @@ def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFun
         if isinstance(expr, Conv):
             return dirichlet_convolve(x, y)
         return _mul(x, y) if isinstance(expr, Mul) else _add(x, y)
-    if isinstance(expr, (Scale, Neg)):
+    if isinstance(expr, Scale):
         t = _tab(expr.child, limit, sieve, cache)
-        return _scaled(limit, expr.coeff * t._c if isinstance(expr, Scale) else -t._c, t._k, t._vals)
+        return _scaled(limit, expr.coeff * t._c, t._k, t._vals)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -749,26 +743,28 @@ def dirichlet_convolve(a: TabulatedFunction, b: TabulatedFunction) -> TabulatedF
 
 
 def evaluate_at(expr: Expr, n: int) -> Fraction:
-    """Single-point evaluation by divisor enumeration; independent of tabulate."""
+    """Single-point evaluation by divisor enumeration; independent of tabulate.  Each
+    convolution node is summed at most once per divisor of n, however many paths reach it."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _at(expr, n, {})
+
+
+def _at(expr: Expr, n: int, sums: dict) -> Fraction:
+    """expr at n; sums holds the convolution sums of this evaluation by (id of the Conv node, n)."""
     if isinstance(expr, Builtin):
         return Fraction(resolve_builtin(expr.name).at(n))
     if isinstance(expr, Conv):
-        total = Fraction(0)
-        for d in divisors(n):
-            av = evaluate_at(expr.left, d)
-            if av:
-                total += av * evaluate_at(expr.right, n // d)
-        return total
-    if isinstance(expr, Mul):
-        return evaluate_at(expr.left, n) * evaluate_at(expr.right, n)
-    if isinstance(expr, Add):
-        return evaluate_at(expr.left, n) + evaluate_at(expr.right, n)
+        key = (id(expr), n)
+        if key not in sums:  # a right factor is evaluated only where its left value is nonzero
+            lefts = ((_at(expr.left, d, sums), n // d) for d in divisors(n))
+            sums[key] = sum((av * _at(expr.right, q, sums) for av, q in lefts if av), Fraction(0))
+        return sums[key]
+    if isinstance(expr, (Mul, Add)):
+        x, y = _at(expr.left, n, sums), _at(expr.right, n, sums)
+        return x * y if isinstance(expr, Mul) else x + y
     if isinstance(expr, Scale):
-        return expr.coeff * evaluate_at(expr.child, n)
-    if isinstance(expr, Neg):
-        return -evaluate_at(expr.child, n)
+        return expr.coeff * _at(expr.child, n, sums)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

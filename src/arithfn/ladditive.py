@@ -23,8 +23,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import UnknownNameError
+from .errors import ParseError, UnknownNameError
 from .factor import (
+    _PSI13,
     SignedFactorization,
     SieveTable,
     _primes_from,
@@ -149,7 +150,10 @@ def l_additive_by_token(token: str) -> LAdditiveFunction:
         tail = token.split(":", 1)[1]
         if not (tail.isascii() and tail.isdigit()):
             raise UnknownNameError(token)
-        return delta_partial(int(tail))
+        digits = tail.lstrip("0") or "0"  # is_prime cannot decide past psi_13's 25 digits
+        if len(digits) > len(str(_PSI13)):
+            raise ParseError(f"prime of {token!r} out of range: it must be below {_PSI13}")
+        return delta_partial(int(digits))
     raise UnknownNameError(token)
 
 

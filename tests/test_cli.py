@@ -267,6 +267,10 @@ class TestDeepExpressions:
         assert "Traceback" not in err
 
 
+# a prime subscript past psi_13, and past the 4300 digits int() converts
+_HUGE_DELTA_P = "delta_p:" + "7" * 5000
+
+
 class TestOversizedInputs:
     @pytest.mark.parametrize(
         "argv, token",
@@ -284,6 +288,18 @@ class TestOversizedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert repr(token) in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", _HUGE_DELTA_P, "12"], ["eval", _HUGE_DELTA_P, "--rational", "3/2"], ["convolve", _HUGE_DELTA_P, "one"]],
+        ids=["eval", "eval-rational", "convolve"],
+    )
+    def test_huge_delta_p_rejected_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(_HUGE_DELTA_P) in captured.err and "set_int_max_str_digits" not in captured.err
 
     def test_largest_exponent_accepted(self, capsys):
         assert run(["convolve", "id_64", "one", "--at", "2"]) == 0
@@ -362,10 +378,10 @@ class TestJsonRoundTripsViaCli:
 
 
 # Argument strategies for the CLI property test.  Expression texts join one to three
-# pieces: rendered trees with at most one convolution, builtin and unknown names, junk
+# pieces: rendered trees with nested convolutions, builtin and unknown names, junk
 # tokens (non-ASCII digits and spaces among them) and p/q with q = 0 allowed.  Point
-# evaluation by divisor enumeration recurses once per nested convolution, so --at draws
-# from the same small window as --limit.
+# evaluation sums each convolution node once per divisor of N, so --at reaches 10**6;
+# --limit stays in a small window, since every node tabulates the whole window.
 _NAMES = st.sampled_from(
     ["one", "id", "id_-1", "id_64", "eps", "mu", "tau", "phi", "sigma", "sigma_0", "delta", "ld", "big_omega",
      "delta_p:3", "mangoldt:ld", "mangoldt:delta_p:2", "sqrt", "id_65", "sigma_-1", "delta_p:9", "mangoldt:"]
@@ -374,11 +390,12 @@ _JUNK = st.sampled_from(["(", ")", "*", ".", "+", "-", "^", "/", ":", "1/", "\u0
 _RATIONAL = st.builds("{}/{}".format, st.integers(0, 9), st.integers(0, 4))
 _EXPR = st.lists(
     st.tuples(st.sampled_from(["", " ", " . ", " * ", " + ", " - "]),
-              st.one_of(expression_trees(1).map(str), _NAMES, _JUNK, _RATIONAL)),
+              st.one_of(expression_trees(2).map(str), _NAMES, _JUNK, _RATIONAL)),
     min_size=1, max_size=3,
 ).map(lambda pieces: "".join(sep + piece for sep, piece in pieces))
 _N = st.one_of(st.integers(-1, 10**12).map(str), st.sampled_from(["", "x", "1.5", "\u0661"]))
 _WINDOW = st.integers(-1, 60)
+_AT = st.integers(-1, 10**6)
 _FLOAT = st.floats().map(repr)  # nan, inf and -inf included
 
 
@@ -389,7 +406,8 @@ def cli_argv(draw):
         argv = [draw(st.one_of(_NAMES, _EXPR))] if command == "eval" else []
         argv += draw(st.one_of(_N.map(lambda n: [n]), _RATIONAL.map(lambda r: [f"--rational={r}"])))
     elif command == "convolve":
-        argv = [draw(_EXPR), draw(_EXPR), f"--{draw(st.sampled_from(['limit', 'at']))}={draw(_WINDOW)}"]
+        option = draw(st.sampled_from(["limit", "at"]))
+        argv = [draw(_EXPR), draw(_EXPR), f"--{option}={draw(_WINDOW if option == 'limit' else _AT)}"]
     elif command == "verify":
         names = [name for name, _ in list_identity_presets()] + ["all", "eq99"]
         argv = [draw(st.sampled_from(names)), f"--limit={draw(_WINDOW)}", f"--seed={draw(st.integers(-2, 2))}"]

@@ -33,6 +33,8 @@ _BUILTINS = [
 ]
 _EVAL_TOKENS = ["delta", "ld", "big_omega", "delta_p:3", "mangoldt:ld", "tau"]
 _MALFORMED = ["sqrt", "mangoldt:foo", "delta_p:9", "delta_p:x", "id_x", "sigma_-1", "mangoldt:", "1/0 . one"]
+# signed expressions, whose rendered text carries a unary or binary minus
+_SIGNED = ["-(one * mu)", "one - 2 . tau", "-2 . tau", "id * (-(2 . tau))", "one - (-mu)", "-1/2 . (tau . delta) + delta"]
 # each series preset at the bound of its half-plane, which it rejects
 _SERIES_BOUNDS = [
     ("lemma-Fld", "1"), ("thm3.3", "2"), ("cor-tau", "2"), ("cor-mu", "2"), ("cor-phi", "3"), ("cor-sigma", "3"),
@@ -57,6 +59,11 @@ def _commands() -> list[list[str]]:
     cmds.append(["series", "cor-sigmak", "--s", "3.5"])
     for name, bound in _SERIES_BOUNDS:
         cmds.append(["series", name, "--s", bound])
+    for text in _SIGNED:
+        cmds.append(["convolve", text, "one", "--limit", "12", "--format", "json"])
+        cmds.append(["convolve", text, "one", "--at", "360"])
+    # an expression starting with '-' and no space must follow '--'
+    cmds.append(["convolve", "--limit", "12", "--format", "json", "--", "-mu", "one"])
     return cmds
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from arithfn import (
     Builtin,
     Conv,
     Mul,
-    Neg,
     Scale,
     TabulatedFunction,
     build_sieve,
@@ -90,7 +90,7 @@ def expression_trees(depth):
     return st.one_of(
         leaves,
         st.builds(Scale, st.fractions(-3, 3, max_denominator=4), sub),
-        st.builds(Neg, sub),
+        sub.map(lambda x: Scale(-1, x)),
         *(st.builds(node, sub, sub) for node in (Add, Mul, Conv)),
     )
 
@@ -112,12 +112,13 @@ class TestParser:
         e = parse_expression("sigma . delta - id_2 * delta")
         assert e == Add(
             Mul(Builtin("sigma_1"), Builtin("delta")),
-            Neg(Conv(Builtin("id_2"), Builtin("delta"))),
+            Scale(-1, Conv(Builtin("id_2"), Builtin("delta"))),
         )
 
     def test_unary_minus(self):
         e = parse_expression("-(id * (mu . delta))")
-        assert e == Neg(Conv(Builtin("id_1"), Mul(Builtin("mu"), Builtin("delta"))))
+        assert e == Scale(-1, Conv(Builtin("id_1"), Mul(Builtin("mu"), Builtin("delta"))))
+        assert parse_expression("-mu") == Scale(-1, Builtin("mu"))
 
     def test_negative_id_subscript(self):
         assert parse_expression("id_-1") == Builtin("id_-1")
@@ -198,12 +199,14 @@ class TestParser:
         assert tabulate(parse_expression(str(e)), 60) == tabulate(e, 60)
 
     @settings(max_examples=300, deadline=None)
-    @given(expression_trees(3))
-    def test_rendered_trees_parse_back(self, e):
+    @given(expression_trees(3), st.integers(1, 60))
+    def test_rendered_trees_parse_back(self, e, n):
         text = str(e)
         parsed = parse_expression(text)
         assert str(parsed) == text
-        assert tabulate(parsed, 60, ROUND_TRIP_SIEVE) == tabulate(e, 60, ROUND_TRIP_SIEVE)
+        table = tabulate(e, 60, ROUND_TRIP_SIEVE)
+        assert tabulate(parsed, 60, ROUND_TRIP_SIEVE) == table
+        assert evaluate_at(e, n) == table[n]
 
 
 class TestTabulate:
@@ -635,6 +638,23 @@ class TestConvolveAt:
             t = tabulate(e, limit, sieve)
             for n in range(1, limit + 1):
                 assert evaluate_at(e, n) == t[n], (name, n)
+
+
+    def test_shared_convolution_node(self):
+        # one Conv object under two parents, and as both operands of a third
+        c = Conv(Builtin("ld"), Builtin("mu"))
+        for e in (Add(Conv(c, Builtin("tau")), Mul(c, Builtin("id_1"))), Conv(c, c)):
+            t = tabulate(e, 60)
+            for n in range(1, 61):
+                assert evaluate_at(e, n) == t[n], (e, n)
+
+    def test_long_chain_sums_each_node_once(self):
+        # sixteen ones convolve to d_16, with d_16(p**a) = C(a + 15, 15)
+        chain = parse_expression(" * ".join(["one"] * 16))
+        t0 = time.perf_counter()
+        value = evaluate_at(chain, 5040)
+        assert time.perf_counter() - t0 < 0.5
+        assert value == math.prod(math.comb(a + 15, 15) for a in (4, 2, 1, 1))  # 5040 = 2**4 3**2 5 7
 
 
 class TestScaledTables:

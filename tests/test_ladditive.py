@@ -24,7 +24,7 @@ from arithfn import (
     quotient_ratio,
     tabulate_l_additive,
 )
-from arithfn.errors import UnknownNameError
+from arithfn.errors import ParseError, UnknownNameError
 
 from oracles import delta_closed_form, leibniz_delta, leibniz_ld
 
@@ -322,6 +322,11 @@ class TestTokenLookup:
         for token in ("delta_p:x", "delta_p:\u0663", "delta_p:\u00b2"):
             with pytest.raises(UnknownNameError):
                 l_additive_by_token(token)
+        # a prime past psi_13's 25 digits is out of range, without int() of its 5000 digits
+        token = "delta_p:" + "7" * 5000
+        with pytest.raises(ParseError, match=f"^prime of {token!r} out of range"):
+            l_additive_by_token(token)
+        assert l_additive_by_token("delta_p:" + "0" * 5000 + "3").name == "delta_p:3"
 
     def test_non_prime_subscript(self):
         with pytest.raises(ValueError):
