@@ -2,6 +2,8 @@
 
 Every other module evaluates arithmetic functions through the factorizations
 produced here, so this module sticks to exact integer arithmetic throughout.
+One class, SignedFactorization, holds the factorization of a positive rational;
+factorize returns its subclass Factorization: positive exponents, an int value().
 
 Past the sieve, is_prime and factorize share one trial pass over the 168 primes
 below B = 1000, so every n < B**2 is factored by division alone.  The first 13 of
@@ -146,52 +148,20 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """n = prod p**a with strictly increasing primes and positive exponents.
-
-    The empty tuple represents n = 1 (the empty product), not a special flag.
-    """
-
-    factors: tuple[PrimePower, ...]
-
-    def __post_init__(self) -> None:
-        last = 1
-        for p, a in self.factors:
-            if p <= last:
-                raise ValueError("primes must be distinct and strictly increasing")
-            if a <= 0:
-                raise ValueError("exponents must be positive")
-            last = p
-
-    def __iter__(self) -> Iterator[PrimePower]:
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def value(self) -> int:
-        n = 1
-        for p, a in self.factors:
-            n *= p**a
-        return n
-
-
-@dataclass(frozen=True)
 class SignedFactorization:
-    """A positive rational in lowest terms as prod p**e, e any nonzero integer.
-
-    The empty tuple represents 1.
-    """
+    """A positive rational in lowest terms as prod p**e: strictly increasing primes, nonzero
+    exponents.  The empty tuple represents 1 (the empty product), not a special flag."""
 
     factors: tuple[PrimePower, ...]
+    _exponents = "nonzero"  # the exponent rule, as the rejection message names it
 
     def __post_init__(self) -> None:
         last = 1
         for p, e in self.factors:
             if p <= last:
                 raise ValueError("primes must be distinct and strictly increasing")
-            if e == 0:
-                raise ValueError("exponents must be nonzero")
+            if e <= 0 and (e == 0 or self._exponents == "positive"):
+                raise ValueError(f"exponents must be {self._exponents}")
             last = p
 
     def __iter__(self) -> Iterator[PrimePower]:
@@ -201,10 +171,17 @@ class SignedFactorization:
         return len(self.factors)
 
     def value(self) -> Fraction:
-        x = Fraction(1)
-        for p, e in self.factors:
-            x *= Fraction(p) ** e
-        return x
+        return math.prod((Fraction(p) ** e for p, e in self.factors), start=Fraction(1))
+
+
+class Factorization(SignedFactorization):
+    """n >= 1 as prod p**a: a SignedFactorization whose exponents are positive, so that
+    value() is the int n."""
+
+    _exponents = "positive"
+
+    def value(self) -> int:
+        return math.prod(p**a for p, a in self.factors)
 
 
 @dataclass(frozen=True, eq=False)

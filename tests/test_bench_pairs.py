@@ -1,8 +1,13 @@
-"""The claim rule of tools/bench_pairs.py, on synthetic runs (no subprocess)."""
+"""The claim rule of tools/bench_pairs.py, on synthetic runs (no benchmark subprocess), and the
+snapshot of a working tree that the change side runs from."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -60,24 +65,31 @@ def test_failed_and_attempted_sum_over_runs():
 
 
 def test_all_runs_every_workload_from_one_export(monkeypatch, tmp_path, capsys):
-    exports, calls = [], []
+    exports, snapshots, calls = [], [], []
+    parent, change = tmp_path / "parent", tmp_path / "change"
 
     def export_tree(rev):
         exports.append(rev)
-        return tmp_path
+        return parent
+
+    def snapshot_tree(root):
+        snapshots.append(root)
+        return change
 
     def run_once(tree, workload, seed):
-        calls.append((tree == tmp_path, workload, seed))
-        value = 1.0 if tree == tmp_path else 0.5  # the change side is faster everywhere
+        assert tree in (parent, change) and tree != bench_pairs.ROOT
+        calls.append((tree == parent, workload, seed))
+        value = 1.0 if tree == parent else 0.5  # the change side is faster everywhere
         names = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
         metrics = {m: {"value": value} for m in names}
         return {"metrics": metrics, "failed": 0, "attempted": 4}
 
     monkeypatch.setattr(bench_pairs, "export_tree", export_tree)
+    monkeypatch.setattr(bench_pairs, "snapshot_tree", snapshot_tree)
     monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     assert bench_pairs.main(["--parent", "HEAD", "--workload", "all", "--pairs", "2", "--seed", "7"]) == 0
-    assert exports == ["HEAD"]
+    assert exports == ["HEAD"] and snapshots == [bench_pairs.ROOT]
     # pair 0 runs the parent first, pair 1 the change first, in every workload
     expected = []
     for i, first_is_parent in ((0, True), (1, False)):
@@ -92,15 +104,18 @@ def test_all_runs_every_workload_from_one_export(monkeypatch, tmp_path, capsys):
 
 
 def test_json_holds_the_printed_summary_of_every_workload(monkeypatch, tmp_path, capsys):
-    export = tmp_path / "export"  # removed by main on exit
+    export, snapshot = tmp_path / "export", tmp_path / "snapshot"  # both removed by main on exit
     export.mkdir()
+    snapshot.mkdir()
 
     def run_once(tree, workload, seed):
+        assert tree in (export, snapshot)
         value = 1.0 if tree == export else 0.5 + 0.01 * seed
         names = ("setup_s", "wall_s", "op_p50_ms", "op_p99_ms", "peak_rss_mb")
         return {"metrics": {m: {"value": value} for m in names}, "failed": seed % 2, "attempted": 4}
 
     monkeypatch.setattr(bench_pairs, "export_tree", lambda rev: export)
+    monkeypatch.setattr(bench_pairs, "snapshot_tree", lambda root: snapshot)
     monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     path = tmp_path / "bench.json"
@@ -122,3 +137,24 @@ def test_json_holds_the_printed_summary_of_every_workload(monkeypatch, tmp_path,
     assert points["change"] == {"failed": 2, "attempted": 12}
     printed = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("wall_s")]
     assert printed == [["wall_s", "1", "0.52", "0.520", "0", "3/3", "yes", "ok"]]
+    assert not export.exists() and not snapshot.exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_snapshot_holds_tracked_and_untracked_files_but_not_ignored_ones(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    files = {".gitignore": "ignored.txt\n", "src/tracked.py": "x = 1\n", "gone.py": "", "ignored.txt": ""}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", ".gitignore", "src/tracked.py", "gone.py"], cwd=repo, check=True)
+    (repo / "gone.py").unlink()  # deleted after staging: listed by git, skipped by the snapshot
+    (repo / "src" / "untracked.py").write_text("y = 2\n")
+    tree = bench_pairs.snapshot_tree(repo)
+    try:
+        found = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+        assert found == [".gitignore", "src/tracked.py", "src/untracked.py"]
+        assert (tree / "src" / "untracked.py").read_text() == "y = 2\n"
+    finally:
+        shutil.rmtree(tree)

@@ -67,6 +67,7 @@ class TestFactorize:
 
     def test_twelve(self):
         assert [tuple(f) for f in factorize(12)] == [(2, 2), (3, 1)]
+        assert isinstance(factorize(12), SignedFactorization)
 
     def test_prime(self):
         assert naive_is_prime(97)
@@ -83,7 +84,8 @@ class TestFactorize:
     def test_round_trip_to_1e5(self):
         sieve = build_sieve(10**5)
         for n in range(1, 10**5 + 1):
-            assert factorize(n, sieve).value() == n
+            value = factorize(n, sieve).value()
+            assert value == n and type(value) is int
 
     def test_sieve_and_trial_division_agree(self):
         sieve = build_sieve(10**4)
@@ -235,7 +237,8 @@ class TestFactorizeRational:
         for _ in range(200):
             a = rng.randint(1, 500)
             b = rng.randint(1, 500)
-            assert factorize_rational(a, b).value() == Fraction(a, b)
+            value = factorize_rational(a, b).value()
+            assert value == Fraction(a, b) and type(value) is Fraction
 
 
 class TestPrimesUpTo:
@@ -268,21 +271,22 @@ class TestDivisors:
 
 class TestTypeInvariants:
     def test_factorization_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Factorization((PrimePower(3, 1), PrimePower(2, 1)))
+        for cls in (Factorization, SignedFactorization):
+            for factors in ((PrimePower(3, 1), PrimePower(2, 1)), (PrimePower(2, 1), PrimePower(2, 1))):
+                with pytest.raises(ValueError, match="^primes must be distinct and strictly increasing$"):
+                    cls(factors)
 
     def test_factorization_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError):
-            Factorization((PrimePower(2, 0),))
-        with pytest.raises(ValueError):
-            Factorization((PrimePower(2, -1),))
+        for e in (0, -1):
+            with pytest.raises(ValueError, match="^exponents must be positive$"):
+                Factorization((PrimePower(2, 1), PrimePower(3, e)))
+        assert SignedFactorization((PrimePower(2, 1), PrimePower(3, -1))).value() == Fraction(2, 3)
 
     def test_signed_rejects_zero_exponent(self):
-        with pytest.raises(ValueError):
-            SignedFactorization((PrimePower(2, 0),))
+        for cls, rule in ((SignedFactorization, "nonzero"), (Factorization, "positive")):
+            with pytest.raises(ValueError, match=f"^exponents must be {rule}$"):
+                cls((PrimePower(2, 1), PrimePower(3, 0)))
 
     def test_signed_allows_negative(self):
         sf = SignedFactorization((PrimePower(2, -1), PrimePower(3, 1)))
-        from fractions import Fraction
-
         assert sf.value() == Fraction(3, 2)

@@ -217,6 +217,12 @@ class TestSignedFormula:
         for n in range(1, 200):
             assert eval_signed(fn, factorize_rational(1, n)) == eval_inverse(fn, n)
 
+    def test_agrees_with_eval_natural_on_factorize(self):
+        mix = custom("mix", {2: Fraction(1, 3), 5: Fraction(-7, 2)}, {3: Fraction(5, 2)}, f_default="reciprocal")
+        for fn in (delta(), ld(), big_omega(), delta_partial(3), mix):
+            for n in range(1, 2001):
+                assert eval_signed(fn, factorize(n)) == eval_natural(fn, n), (fn.name, n)
+
 
 class TestBulkTabulation:
     def test_matches_pointwise_eval(self):

@@ -3,15 +3,17 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload catalog --pairs 10 --seed 100
     python3 tools/bench_pairs.py --parent HEAD~1 --workload all --pairs 5 --seed 100 --json BENCH.json
 
-The change side is the working tree that holds this script; the parent side
-is REV, exported with ``git archive`` into a temporary directory (honouring
-TMPDIR) that is removed on exit.  An export, unlike a
-``git worktree``, leaves no administrative entry under ``.git`` when a run is
-killed.  Both trees are byte-compiled first.  Pair i runs
+Both sides run from temporary directories (honouring TMPDIR), removed on
+exit, so neither runs where it was developed: the parent side is REV,
+exported with ``git archive``; the change side is a snapshot of the working
+tree that holds this script, its tracked files plus the untracked ones git
+does not ignore.  An export, unlike a ``git worktree``, leaves no
+administrative entry under ``.git`` when a run is killed.  Both trees are
+byte-compiled first.  Pair i runs
 ``perfbench/run.py --workload W --seed S+i --trace 0`` once in each tree, the
 parent first on even i, and reads the JSON object on the last line of each
 run's output.  With ``--workload all`` each pair runs the four workloads in
-turn, all from the one export, and one table is printed per workload.
+turn, all from the same two trees, and one table is printed per workload.
 
 For every end-to-end metric of BENCHMARK.json it prints both medians, the
 parent's interquartile range, the change's wins out of the pairs run (ties
@@ -47,6 +49,24 @@ def export_tree(rev: str) -> Path:
     if git.wait() != 0 or tar.returncode != 0:
         shutil.rmtree(tree, ignore_errors=True)
         raise SystemExit(f"error: could not export {rev!r}")
+    return tree
+
+
+def snapshot_tree(root: Path) -> Path:
+    """The working tree at root, its tracked files and the untracked ones git does not
+    ignore (paths deleted since the last commit are skipped), in a new temporary directory."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root,
+        capture_output=True,
+        check=True,
+    ).stdout
+    tree = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    for name in filter(None, listed.decode().split("\0")):
+        src = root / name
+        if src.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, tree / name)
     return tree
 
 
@@ -137,21 +157,24 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     runs = {w: ([], []) for w in workloads}  # workload -> (parent runs, change runs)
-    tree = export_tree(args.parent)
+    trees: list[Path] = []  # the parent's export, then the change's snapshot
     try:
-        for t in (tree, ROOT):
+        trees.append(export_tree(args.parent))
+        trees.append(snapshot_tree(ROOT))
+        for t in trees:
             compile_tree(t)
         for i in range(args.pairs):
             seed = args.seed + i
             for w in workloads:
-                order = [(tree, runs[w][0]), (ROOT, runs[w][1])]
+                order = list(zip(trees, runs[w]))
                 if i % 2:
                     order.reverse()
                 for t, results in order:
                     results.append(run_once(t, w, seed))
             print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
     finally:
-        shutil.rmtree(tree, ignore_errors=True)
+        for t in trees:
+            shutil.rmtree(t, ignore_errors=True)
     for w in workloads:
         print(f"workload {w}, parent {args.parent}, {args.pairs} pairs from seed {args.seed}")
         print("\n".join(summarise(spec, *runs[w])))
