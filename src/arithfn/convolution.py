@@ -34,8 +34,9 @@ tabulator and one point evaluator that works from the factorization:
 
 A class tabulates as its prime-power values (id_k: np.arange**k) and, for the
 multiplicative and Leibniz-additive ones, one shared recurrence
-(ladditive.split_recurrence); ld = delta/id tabulates as delta's numerators
-n ld(n) = delta(n) with k = 1.
+(ladditive.split_recurrence).  A Leibniz-additive function with a negative
+power of p in its prime values tabulates as the int numerators n**k f(n):
+ld = delta/id as delta's numerators n ld(n) = delta(n) with k = 1.
 
 Numeric literals are scalars and combine through "." only.
 
@@ -88,16 +89,19 @@ import numpy as np
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
+    _INT64_MAX,
     LAdditiveFunction,
+    _one_dtype,
+    _prime_value,
     as_exact,
     delta,
     eval_natural,
     exact_array,
-    exact_ratio,
     l_additive_by_token,
     leibniz_numerators,
     ld,
     prime_power_table,
+    rule_array,
     split_recurrence,
 )
 
@@ -478,29 +482,46 @@ def _zeta_product(e: dict) -> BuiltinImpl:
     """Multiplicative f with Dirichlet series prod_j zeta(s - j)**e[j], j >= 0: f(p**a) is
     the x**a coefficient of prod_j (1 - p**j x)**-e[j], so f(p) = sum_j e[j] p**j."""
 
-    def g(p: int, a: int) -> int:
-        c = [1] + [0] * a  # x**0..x**a of the product so far
+    def g(p, a: int) -> list:
+        """The x**0..x**a coefficients at p, an int or an array of primes."""
+        c = [p**0] + [p * 0] * a
         for j, ej in e.items():
             # times 1/(1 - p**j x) runs upward, times 1 - p**j x downward
             q, order = (p**j, range(1, a + 1)) if ej > 0 else (-(p**j), range(a, 0, -1))
             for _ in range(abs(ej)):
                 for i in order:
-                    c[i] += q * c[i - 1]
-        return c[a]
+                    c[i] = c[i] + q * c[i - 1]
+        return c
 
     def tab(limit: int, sieve: SieveTable) -> np.ndarray:
         ps = _primes_from(sieve, limit)
         # sum_j |e_j| limit**j bounds f(p) and its partial sums at every p <= limit
-        x = np.array(ps, np.int64 if sum(abs(ej) * limit**j for j, ej in e.items()) <= _INT64_MAX else object)
-        f_p = sum((ej * x**j for j, ej in e.items()), np.zeros_like(x)).tolist()
-        return split_recurrence(sieve, limit, prime_power_table(limit, ps, f_p, lambda i, a: g(ps[i], a)))
+        x = ps if sum(abs(ej) * limit**j for j, ej in e.items()) <= _INT64_MAX else ps.astype(object)
+        f_p = sum((ej * x**j for j, ej in e.items()), np.zeros_like(x))
+        # at p**a, a >= 2, for the primes p <= sqrt(limit), in Python ints
+        c = g(ps[: np.searchsorted(ps, math.isqrt(limit), "right")].astype(object), limit.bit_length() - 1)
+        at_power = lambda a, m: f_p if a == 1 else c[a][:m]  # noqa: E731
+        return split_recurrence(sieve, limit, prime_power_table(limit, ps, at_power))
 
-    return BuiltinImpl(tab, lambda n: math.prod(g(p, a) for p, a in factorize(n)), euler=e)
+    return BuiltinImpl(tab, lambda n: math.prod(g(p, a)[a] for p, a in factorize(n)), euler=e)
 
 
 def _leibniz_additive(fn: LAdditiveFunction) -> BuiltinImpl:
-    """Leibniz-additive f with companion h: numerators f(n), and eval_natural."""
-    return BuiltinImpl(lambda limit, sieve: leibniz_numerators(fn, limit, sieve), lambda n: eval_natural(fn, n))
+    """Leibniz-additive f with companion h: numerators n**k f(n) with k = fn.k, and eval_natural."""
+    tab = lambda limit, sieve: leibniz_numerators(fn, limit, sieve)  # noqa: E731
+    return BuiltinImpl(tab, functools.partial(eval_natural, fn), fn.k)
+
+
+def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> TabulatedFunction:
+    """The table of f on [1, limit] from a sieve covering limit, as tabulate builds a builtin's:
+    numerators n**k f(n) from leibniz_numerators, k = fn.k, so a rule with a negative power of
+    p, as ld()'s f(p) = 1/p, still tabulates in ints.  Bulk companion to eval_natural; the two
+    paths agree and are tested against each other."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if sieve.limit < limit:
+        raise ValueError("sieve does not cover the requested limit")
+    return _scaled(limit, _ONE, fn.k, leibniz_numerators(fn, limit, sieve))
 
 
 @dataclass(frozen=True)
@@ -515,17 +536,20 @@ class MangoldtOf:
 
 
 def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
-    """n * Lambda_f(n) on [0, limit]: (f(p)/h(p)) * p**j at every p**j, else 0.
+    """n * Lambda_f(n) on [0, limit]: (f(p)/h(p)) * p**a at every p**a, else 0, from fn's data:
+    f(p)/h(p) follows the rule (c/c', i - j), except at the primes of fn's maps.
 
     The primes come from the sieve when one is given.  The numerators are ints
     for every base that l_additive_by_token resolves, where f(p)/h(p) is an
     int or 1/p.
     """
+    (c, i), (d, j) = fn.f_rule, fn.h_rule
+    ratio = (as_exact(Fraction(c, d)), i - j)
+    exceptions = {}
+    for p in {*fn.f_map, *fn.h_map}:
+        exceptions[p] = as_exact(Fraction(_prime_value(fn.f_rule, fn.f_map, p), _prime_value(fn.h_rule, fn.h_map, p)))
     ps = _primes_from(sieve, limit)
-    # f(p)/h(p) = a/b, so the value at p**j is a p**j / b
-    ab = [(f.numerator * h.denominator, f.denominator * h.numerator) for f, h in map(fn.at_prime, ps)]
-    at = lambda i, j: exact_ratio(ab[i][0] * ps[i] ** j, ab[i][1])  # noqa: E731
-    return prime_power_table(limit, ps, [at(i, 1) for i in range(len(ps))], at)
+    return prime_power_table(limit, ps, lambda a, m: rule_array(ratio, exceptions, ps[:m], a))
 
 
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
@@ -563,15 +587,14 @@ def normalize_builtin_name(name: str) -> str:
     return _ALIASES.get(name, name)
 
 
-_DELTA = _leibniz_additive(delta())
 _CATALOG = {
     "one": _power(0),
     "eps": _zeta_product({}),
     "mu": _zeta_product({0: -1}),
     "tau": _zeta_product({0: 2}),
     "phi": _zeta_product({1: 1, 0: -1}),
-    "delta": _DELTA,
-    "ld": BuiltinImpl(_DELTA.tabulate, functools.partial(eval_natural, ld()), 1),  # n ld(n) = delta(n)
+    "delta": _leibniz_additive(delta()),
+    "ld": _leibniz_additive(ld()),  # k = 1: n ld(n) = delta(n)
 }
 
 
@@ -615,19 +638,6 @@ def resolve_builtin(name: str) -> BuiltinImpl:
 # ---------------------------------------------------------------------------
 # Tabulation and convolution
 # ---------------------------------------------------------------------------
-
-
-_INT64_MAX = 2**63 - 1
-
-
-def _one_dtype(bound: Callable[..., int], *xs: np.ndarray) -> tuple:
-    """The operands xs of one operation in its dtype: int64 when all are int64 and
-    bound(max|x| for each x), which bounds every |result| since int64 wraps silently,
-    is at most 2**63 - 1; else object.  An object operand keeps the result object."""
-    size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
-    if all(x.dtype == np.int64 for x in xs) and bound(*map(size, xs)) <= _INT64_MAX:
-        return xs
-    return tuple(np.asarray(x, dtype=object) for x in xs)
 
 
 def _convolve_padded(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:

@@ -23,7 +23,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,17 +35,22 @@ class PrimePower(NamedTuple):
     exponent: int
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, increasing.  Plain Eratosthenes over a bytearray."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes <= limit, increasing, as an int64 array, by Eratosthenes over a bool array:
+    the even numbers past 2 go in one strided slice, then each odd prime p <= sqrt(limit)
+    clears its odd multiples from p*p on in one more."""
+    flags = np.ones(max(limit, 1) + 1, bool)
+    flags[:2] = False
+    flags[4::2] = False
+    for p in range(3, math.isqrt(len(flags) - 1) + 1, 2):
         if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return list(itertools.compress(range(limit + 1), flags))
+            flags[p * p :: 2 * p] = False
+    return np.flatnonzero(flags)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, increasing, from the Eratosthenes pass that build_sieve shares."""
+    return _prime_array(limit).tolist()
 
 
 # Trial division stops at B.  Near 10**3, the divisions and one 13-base test of a
@@ -189,12 +194,13 @@ class SieveTable:
     """Smallest-prime-factor table for 2..limit; spf[n] is the least prime dividing n.
 
     spf[0] and spf[1] are unused filler; primes holds the primes <= limit in
-    increasing order.  Both are int32 arrays (int64 from 2**31), which read one
-    entry at a time as fast as lists of the same ints and take half a machine
-    word per entry, without an int object for each prime.  Memory is half a
-    machine word per integer up to the limit, plus the primes, and one machine
-    word more for split once tabulation builds it: two int32 arrays, half of
-    what int64 would take.  Treat as read-only after construction.
+    increasing order.  Both are stdlib int32 arrays (int64 from 2**31), which
+    factorize reads one entry at a time as fast as lists of the same ints; they
+    take half a machine word per entry, without an int object for each prime, and
+    numpy reads and writes them through views of their buffers without a copy.
+    Memory is half a machine word per integer up to the limit, plus the primes,
+    and one machine word more for split once tabulation builds it: two int32
+    arrays, half of what int64 would take.  Treat as read-only after construction.
     """
 
     limit: int
@@ -223,23 +229,25 @@ class SieveTable:
 
 
 def build_sieve(limit: int) -> SieveTable:
-    """Smallest-prime-factor table filled from the Eratosthenes pass of primes_up_to.
+    """Smallest-prime-factor table from the Eratosthenes pass of primes_up_to.
 
-    Entries start at 2; the odd primes up to sqrt(limit), largest first, overwrite
-    their odd multiples from p*p on, so the least prime factor is written last.
+    spf is written through a numpy view of its buffer: 2 at the even entries, then
+    the odd primes up to sqrt(limit), largest first, at their odd multiples from
+    p*p on, so the least prime factor is written last, and every odd prime at
+    itself in one assignment.
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    code = "i" if limit < 2**31 else "q"
-    spf = array(code, [2]) * (limit + 1)
-    spf[0] = spf[1] = 0
-    root = math.isqrt(limit)
-    primes = primes_up_to(limit)
-    for p in reversed(primes):
-        if 2 < p <= root:
-            spf[p * p :: 2 * p] = array(code, [p]) * ((limit - p * p) // (2 * p) + 1)
-        spf[p] = p
-    return SieveTable(limit, spf, array(code, primes))
+    code, dtype = ("i", np.int32) if limit < 2**31 else ("q", np.int64)
+    primes = _prime_array(limit).astype(dtype)
+    spf = array(code, bytes(np.dtype(dtype).itemsize * (limit + 1)))
+    view = np.frombuffer(spf, dtype)
+    view[2::2] = 2
+    odd = primes[1:]
+    for p in reversed(odd[: np.searchsorted(odd, math.isqrt(limit), "right")].tolist()):
+        view[p * p :: 2 * p] = p
+    view[odd] = odd
+    return SieveTable(limit, spf, array(code, primes.tobytes()))
 
 
 def factorize(n: int, sieve: Optional[SieveTable] = None) -> Factorization:
@@ -292,11 +300,11 @@ def factorize_rational(
     return SignedFactorization(factors)
 
 
-def _primes_from(sieve: Optional[SieveTable], limit: int) -> Sequence[int]:
-    """The primes <= limit, cut from the sieve's array when it covers limit."""
+def _primes_from(sieve: Optional[SieveTable], limit: int) -> np.ndarray:
+    """The primes <= limit as an int64 array, cut from the sieve's array when it covers limit."""
     if sieve is None or sieve.limit < limit:
-        return primes_up_to(limit)
-    return sieve.primes[: bisect.bisect_right(sieve.primes, limit)]
+        return _prime_array(limit)
+    return np.asarray(sieve.primes[: bisect.bisect_right(sieve.primes, limit)], np.int64)
 
 
 def divisors(n: int, sieve: Optional[SieveTable] = None) -> list[int]:

@@ -4,20 +4,21 @@ A function f is Leibniz-additive when some completely multiplicative h
 satisfies f(mn) = f(m)h(n) + f(n)h(m) for all m, n >= 1.  Such a pair is
 pinned down by its values on primes, and f(n) follows from the prime
 factorization as h(n) * sum(a_i * f(p_i)/h(p_i)).  Values are exact
-rationals; h must never vanish.
+rationals; h must never vanish.  A function is data: the rules f(p) = c p**i
+and h(p) = c' p**j, plus finitely many exceptional primes (LAdditiveFunction).
 
 The natural-log variant (f(p) = log p) is irrational-valued and therefore
 lives in the float-based series module, not here.
 
 The sieve tabulators of every function class share two helpers here: values
-at the prime powers (prime_power_table) and one recurrence (split_recurrence).
+at the prime powers (prime_power_table), filled from numpy arrays over the
+primes one exponent at a time, and one recurrence (split_recurrence).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -34,15 +35,11 @@ from .factor import (
 )
 
 Rational = Union[int, Fraction]
-# Default rules for primes absent from a custom function's finite maps:
-# a constant, the prime itself, or its reciprocal.
+# A custom function's default rules for primes absent from its finite maps: a constant c,
+# the prime itself or its reciprocal, the rules (c, 0), (1, 1) and (1, -1).
 DefaultRule = Union[int, Fraction, str]  # "identity" | "reciprocal" | constant
-
-
-def exact_ratio(a: int, b: int) -> Rational:
-    """a/b as an int when b divides a, else as a Fraction."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
+_RULES = {"identity": (1, 1), "reciprocal": (1, -1)}
+_INT64_MAX = 2**63 - 1
 
 
 def as_exact(v: Rational) -> Rational:
@@ -54,20 +51,79 @@ def as_exact(v: Rational) -> Rational:
     raise TypeError(f"prime values must be exact rationals (int or Fraction), got {v!r}")
 
 
-@dataclass(frozen=True)
+def _prime_value(rule: tuple, exceptions: Mapping[int, Rational], p: int) -> Rational:
+    """The value at the prime p of the exceptions where they name p, else of the rule (c, i):
+    c p**i, an int when it is integral."""
+    v = exceptions.get(p)
+    if v is None:
+        c, i = rule
+        v = as_exact(c * p**i if i >= 0 else Fraction(c, p**-i))
+    return v
+
+
+@dataclass(frozen=True, slots=True)
 class LAdditiveFunction:
-    """An L-additive function given by its prime values f(p) and h(p)."""
+    """An L-additive function as data: f(p) = c p**i and h(p) = c' p**j at every prime p, the
+    rules f_rule = (c, i) and h_rule = (c', j) with c, c' exact and i, j ints, except at the
+    primes of the finite maps f_map and h_map, which give f(p) and h(p) there.
+
+    Values are normalized by as_exact, so a float raises TypeError at construction; h must
+    never vanish, so c' = 0 or a 0 in h_map raises ValueError, as does a map key that is not
+    a prime.
+    """
 
     name: str
-    f_at_prime: Callable[[int], Rational]
-    h_at_prime: Callable[[int], Rational]
+    f_rule: tuple[Rational, int]
+    h_rule: tuple[Rational, int]
+    f_map: Mapping[int, Rational] = field(default_factory=dict, hash=False)
+    h_map: Mapping[int, Rational] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        for role in ("f", "h"):
+            c, i = getattr(self, f"{role}_rule")
+            if not isinstance(i, int):
+                raise TypeError(f"the exponent of {role}'s rule must be an int, got {i!r}")
+            exceptions = {p: as_exact(v) for p, v in getattr(self, f"{role}_map").items()}
+            for p in exceptions:
+                if not is_prime(p):
+                    raise ValueError(f"map key {p} is not prime")
+            object.__setattr__(self, f"{role}_rule", (as_exact(c), i))
+            object.__setattr__(self, f"{role}_map", exceptions)
+        if self.h_rule[0] == 0:
+            raise ValueError("h default rule must be nonzero")
+        for p, v in self.h_map.items():
+            if v == 0:
+                raise ValueError(f"h({p}) = 0; h must be nonzero-valued")
+
+    @property
+    def k(self) -> int:
+        """max(0, -i, -j): p**k f(p) and p**k h(p) follow rules with no negative power of p, and
+        the tables of f hold the numerators n**k f(n)."""
+        return max(0, -self.f_rule[1], -self.h_rule[1])
 
     def at_prime(self, p: int) -> tuple[Rational, Rational]:
-        """(f(p), h(p)), each an int when it is integral; h(p) must be nonzero."""
-        h = as_exact(self.h_at_prime(p))
-        if h == 0:
-            raise ValueError(f"h_{self.name}({p}) = 0; h must be nonzero-valued")
-        return as_exact(self.f_at_prime(p)), h
+        """(f(p), h(p)) at the prime p, each an int when it is integral.  An int rule is read
+        inline, the rest through _prime_value: this is the scalar path of point evaluation."""
+        f, h = self.f_map.get(p), self.h_map.get(p)
+        if f is None:
+            c, i = self.f_rule
+            if type(c) is not int:
+                f = _prime_value(self.f_rule, {}, p)
+            elif i >= 0:
+                f = c * p**i
+            else:
+                q = p**-i
+                f = Fraction(c, q) if c % q else c // q
+        if h is None:
+            c, i = self.h_rule
+            if type(c) is not int:
+                h = _prime_value(self.h_rule, {}, p)
+            elif i >= 0:
+                h = c * p**i
+            else:
+                q = p**-i
+                h = Fraction(c, q) if c % q else c // q
+        return f, h
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LAdditiveFunction({self.name!r})"
@@ -75,34 +131,31 @@ class LAdditiveFunction:
 
 def delta() -> LAdditiveFunction:
     """The arithmetic derivative: f(p) = 1 with h(p) = p."""
-    return LAdditiveFunction("delta", lambda p: 1, lambda p: p)
+    return LAdditiveFunction("delta", (1, 0), (1, 1))
 
 
 def delta_partial(p0: int) -> LAdditiveFunction:
-    """Partial arithmetic derivative with respect to the prime p0."""
+    """Partial arithmetic derivative with respect to the prime p0: f(p0) = 1, else 0, with h(p) = p."""
     if not is_prime(p0):
         raise ValueError(f"delta_partial requires a prime, got {p0}")
-    return LAdditiveFunction(f"delta_p:{p0}", lambda p: 1 if p == p0 else 0, lambda p: p)
+    return LAdditiveFunction(f"delta_p:{p0}", (0, 0), (1, 1), {p0: 1})
 
 
 def ld() -> LAdditiveFunction:
-    """The logarithmic derivative delta(n)/n: completely additive, h = 1."""
-    return LAdditiveFunction("ld", lambda p: Fraction(1, p), lambda p: 1)
+    """The logarithmic derivative delta(n)/n: f(p) = 1/p with h = 1, completely additive."""
+    return LAdditiveFunction("ld", (1, -1), (1, 0))
 
 
 def big_omega() -> LAdditiveFunction:
     """Prime factor count with multiplicity: completely additive, h = 1."""
-    return LAdditiveFunction("big_omega", lambda p: 1, lambda p: 1)
+    return LAdditiveFunction("big_omega", (1, 0), (1, 0))
 
 
-def _rule_to_callable(rule: DefaultRule, role: str) -> Callable[[int], Rational]:
-    if rule == "identity":
-        return lambda p: p
-    if rule == "reciprocal":
-        return lambda p: Fraction(1, p)
+def _rule(rule: DefaultRule, role: str) -> tuple:
+    if isinstance(rule, str) and rule in _RULES:
+        return _RULES[rule]
     if isinstance(rule, (int, Fraction)):
-        c = as_exact(rule)
-        return lambda p: c
+        return rule, 0
     raise ValueError(f"{role} default rule must be a rational constant, 'identity', or 'reciprocal'")
 
 
@@ -115,27 +168,9 @@ def custom(
     h_default: DefaultRule = 1,
 ) -> LAdditiveFunction:
     """User-defined function: finitely many explicit prime values plus default rules."""
-    f_map = {p: as_exact(v) for p, v in (f_at_prime or {}).items()}
-    h_map = {p: as_exact(v) for p, v in (h_at_prime or {}).items()}
-    for m in (f_map, h_map):
-        for p in m:
-            if not is_prime(p):
-                raise ValueError(f"map key {p} is not prime")
-    for p, v in h_map.items():
-        if v == 0:
-            raise ValueError(f"h({p}) = 0; h must be nonzero-valued")
-    if h_default == 0:
-        raise ValueError("h default rule must be nonzero")
-    f_rule = _rule_to_callable(f_default, "f")
-    h_rule = _rule_to_callable(h_default, "h")
-
-    def f(p: int) -> Rational:
-        return f_map[p] if p in f_map else f_rule(p)
-
-    def h(p: int) -> Rational:
-        return h_map[p] if p in h_map else h_rule(p)
-
-    return LAdditiveFunction(name, f, h)
+    return LAdditiveFunction(
+        name, _rule(f_default, "f"), _rule(h_default, "h"), dict(f_at_prime or {}), dict(h_at_prime or {})
+    )
 
 
 def l_additive_by_token(token: str) -> LAdditiveFunction:
@@ -157,7 +192,7 @@ def l_additive_by_token(token: str) -> LAdditiveFunction:
     raise UnknownNameError(token)
 
 
-def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tuple[int, int, int]:
+def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable], caller: str) -> tuple[int, int, int]:
     """(F, H, D) with f(n) = F/D and h(n) = H/D, in one int pass over the factorization of n.
 
     Each prime power contributes f(p**a) = a f(p) h(p)**(a-1) and h(p)**a, and
@@ -165,10 +200,10 @@ def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tupl
     h(p) = z/w, both prime-power values are taken over the common denominator
     y w**a, and D is the product of those denominators, reduced only by the
     callers' Fraction.  For int prime values D stays 1 and the pass is the
-    plain int Leibniz pass.
+    plain int Leibniz pass.  An n < 1 raises a ValueError that names the caller.
     """
     if n < 1:
-        raise ValueError("eval_natural requires n >= 1")
+        raise ValueError(f"{caller} requires n >= 1")
     f_n, h_n, den = 0, 1, 1
     for p, a in factorize(n, sieve):
         fp, hp = fn.at_prime(p)
@@ -188,7 +223,7 @@ def _leibniz(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable]) -> tupl
 
 def eval_natural(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(n) = h(n) * sum(a_i * f(p_i)/h(p_i)) over the factorization of n."""
-    f_n, _, den = _leibniz(fn, n, sieve)
+    f_n, _, den = _leibniz(fn, n, sieve, "eval_natural")
     return Fraction(f_n, den)
 
 
@@ -213,8 +248,8 @@ def eval_rational(
     """f(n/m) = (f(n)h(m) - f(m)h(n)) / h(m)**2; agrees with eval_natural at m = 1."""
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be >= 1")
-    f_n, h_n, d_n = _leibniz(fn, numerator, sieve)
-    f_m, h_m, d_m = _leibniz(fn, denominator, sieve)
+    f_n, h_n, d_n = _leibniz(fn, numerator, sieve, "eval_rational")
+    f_m, h_m, d_m = _leibniz(fn, denominator, sieve, "eval_rational")
     return Fraction((f_n * h_m - f_m * h_n) * d_m, d_n * h_m * h_m)
 
 
@@ -235,32 +270,61 @@ def eval_signed(fn: LAdditiveFunction, sf: SignedFactorization) -> Fraction:
 
 def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
     """f(n)/h(n), which is completely additive whenever h never vanishes."""
-    f_n, h_n, _ = _leibniz(fn, n, sieve)
+    f_n, h_n, _ = _leibniz(fn, n, sieve, "quotient_ratio")
     return Fraction(f_n, h_n)
 
 
-def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> list:
-    """Values f(1..limit) as a padded list (index 0 unused), from leibniz_numerators.
+def _one_dtype(bound: Callable[..., int], *xs: np.ndarray) -> tuple:
+    """The operands xs of one operation in its dtype: int64 when all are int64 and
+    bound(max|x| for each x), which bounds every |result| since int64 wraps silently,
+    is at most 2**63 - 1; else object.  An object operand keeps the result object."""
+    size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
+    if all(x.dtype == np.int64 for x in xs) and bound(*map(size, xs)) <= _INT64_MAX:
+        return xs
+    return tuple(np.asarray(x, dtype=object) for x in xs)
 
-    Bulk companion to eval_natural; the two paths agree and are tested
-    against each other.  Fraction prime values, as in ld(), tabulate in Fraction
-    arithmetic (0.76 s at 10**5, delta 0.02 s); tabulate's `ld` builtin avoids this.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if sieve.limit < limit:
-        raise ValueError("sieve does not cover the requested limit")
-    return leibniz_numerators(fn, limit, sieve).tolist()
+
+def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, k: int) -> np.ndarray:
+    """p**k times the value at each prime p of the int64 array ps, the rule (c, i)'s c p**(i + k)
+    or the exceptions' value where they name p.  int64 when c is an int, i + k >= 0 and
+    |c| max(ps)**(i + k) fits, and the exceptions' values are ints in range; else object."""
+    c, i = rule
+    e = i + k
+    if type(c) is int and e >= 0 and abs(c) * (int(ps[-1]) if len(ps) else 1) ** e <= _INT64_MAX:
+        out = c * ps**e
+    else:
+        x = ps.astype(object)
+        out = c * x**e if e >= 0 else Fraction(c) / x**-e
+        if type(c) is not int or e < 0:  # Fractions, the integral ones as ints
+            out = np.frompyfunc(as_exact, 1, 1)(out)
+    for p, v in exceptions.items():
+        at = int(np.searchsorted(ps, p))
+        if at < len(ps) and ps[at] == p:
+            v = as_exact(v * p**k)
+            if out.dtype == np.int64 and not (type(v) is int and abs(v) <= _INT64_MAX):
+                out = out.astype(object)
+            out[at] = v
+    return out
 
 
 def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> np.ndarray:
-    """f(n) on [0, limit] from a sieve covering limit, by f(p**a) = a f(p) h(p)**(a-1) and
-    h(p**a) = h(p)**a."""
+    """n**k f(n) on [0, limit], k = fn.k, from a sieve covering limit and fn's data.  That is the
+    Leibniz-additive function with prime values p**k f(p) and companion p**k h(p), whose rules
+    hold no negative power of p: its values at the prime powers, by f(p**a) = a f(p) h(p)**(a-1)
+    and h(p**a) = h(p)**a, as numpy expressions over the primes, then split_recurrence."""
     ps = _primes_from(sieve, limit)
-    pairs = [fn.at_prime(p) for p in ps]
-    fs, hs = [f for f, _ in pairs], [h for _, h in pairs]
-    f_pk = prime_power_table(limit, ps, fs, lambda i, a: a * fs[i] * hs[i] ** (a - 1))
-    return split_recurrence(sieve, limit, prime_power_table(limit, ps, hs, lambda i, a: hs[i] ** a), f_pk)
+    f_p = rule_array(fn.f_rule, fn.f_map, ps, fn.k)
+    h_p = rule_array(fn.h_rule, fn.h_map, ps, fn.k)
+
+    def f_pa(a: int, m: int) -> np.ndarray:
+        f, h = _one_dtype(lambda x, y: a * x * y ** (a - 1), f_p[:m], h_p[:m])
+        return a * f * h ** (a - 1)
+
+    def h_pa(a: int, m: int) -> np.ndarray:
+        (h,) = _one_dtype(lambda y: y**a, h_p[:m])
+        return h**a
+
+    return split_recurrence(sieve, limit, prime_power_table(limit, ps, h_pa), prime_power_table(limit, ps, f_pa))
 
 
 def exact_array(values: Sequence) -> np.ndarray:
@@ -281,19 +345,24 @@ def exact_array(values: Sequence) -> np.ndarray:
     return num
 
 
-def prime_power_table(limit: int, ps: list, at_primes: list, at_power: Callable[[int, int], Rational]) -> np.ndarray:
-    """Values on [0, limit] at the prime powers, 0 elsewhere: at_primes[i] at the prime ps[i]
-    (ps the primes <= limit) and at_power(i, a) at ps[i]**a, a >= 2; int64 when all are ints
-    in range, else object dtype."""
-    higher = {
-        p**a: at_power(i, a)
-        for i, p in enumerate(ps[: bisect.bisect_right(ps, math.isqrt(limit))])
-        for a in range(2, limit.bit_length())
-        if p**a <= limit
-    }
-    num = exact_array([*at_primes, *higher.values()])
-    table = np.zeros(limit + 1, num.dtype)
-    table[[*ps, *higher]] = num[1:]
+def prime_power_table(limit: int, ps: np.ndarray, at_power: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Values on [0, limit] at the prime powers, 0 elsewhere, one exponent a >= 1 at a time:
+    at_power(a, m) is the array of the values at p**a for the primes p in ps[:m], those with
+    p**a <= limit (ps the primes <= limit, an int64 array).  int64 when every value is an int
+    in range, else object dtype: exact_array's rule for an object array of values."""
+    where, values = [], []
+    q, a, m = ps, 1, len(ps)
+    while m:
+        v = at_power(a, m)
+        values.append(exact_array(v.tolist())[1:] if v.dtype == object else v)
+        where.append(q)
+        m = np.count_nonzero(q <= limit // ps[:m])  # p**(a + 1) <= limit, a prefix of ps
+        q = q[:m] * ps[:m]
+        a += 1
+    dtype = np.int64 if all(v.dtype == np.int64 for v in values) else object
+    table = np.zeros(limit + 1, dtype)
+    if values:
+        table[np.concatenate(where)] = np.concatenate(values)
     return table
 
 

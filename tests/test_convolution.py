@@ -15,6 +15,7 @@ from arithfn import (
     Add,
     Builtin,
     Conv,
+    LAdditiveFunction,
     Mul,
     Scale,
     TabulatedFunction,
@@ -292,6 +293,22 @@ class TestSieveClasses:
             t = tab(name, limit)
             assert t._vals.dtype == np.int64, name
             assert t[limit] == naive_sigma_k(limit, k), name
+
+    def test_leibniz_tables_read_prime_values_as_data(self, monkeypatch):
+        # no per-prime Python call: tabulation never reaches the scalar lookup at_prime
+        def refuse(self, p):
+            raise AssertionError(f"at_prime({p}) called by tabulation")
+
+        limit = 10**4
+        sieve = build_sieve(limit)
+        names = ("delta", "ld", "big_omega", "delta_p:3", "mangoldt:delta", "mangoldt:ld", "mangoldt:big_omega")
+        monkeypatch.setattr(LAdditiveFunction, "at_prime", refuse)
+        tables = {name: tab(name, limit, sieve=sieve) for name in names}
+        monkeypatch.undo()
+        for name, t in tables.items():
+            assert int_numerators(t), name
+            for n in (1, 2, 9, 27, 360, 7919, 9973, limit):
+                assert t[n] == evaluate_at(Builtin(name), n), (name, n)
 
     def test_large_values_go_object(self):
         t = tab("sigma_64", 300)

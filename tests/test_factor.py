@@ -19,7 +19,7 @@ from arithfn import (
     primes_up_to,
 )
 
-from oracles import naive_divisors, naive_factor, naive_is_prime, naive_primes_up_to
+from oracles import naive_divisors, naive_factor, naive_is_prime, naive_primes_up_to, smallest_factor
 
 
 class TestBuildSieve:
@@ -51,6 +51,14 @@ class TestBuildSieve:
             for n in range(2, limit + 1):
                 assert n % table.spf[n] == 0
                 assert table.spf[n] == naive_factor(n)[0][0], (limit, n)
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 26, 2**16 - 1, 2**16 + 1, 10**5])
+    def test_matches_trial_division(self, limit):
+        table = build_sieve(limit)
+        assert (table.spf.typecode, table.primes.typecode) == ("i", "i")
+        assert table.primes.tolist() == naive_primes_up_to(limit) == primes_up_to(limit)
+        assert table.spf[:2].tolist() == [0, 0]
+        assert table.spf[2:].tolist() == [smallest_factor(n) for n in range(2, limit + 1)]
 
     def test_accessor_bounds(self):
         table = build_sieve(10)

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithfn import (
@@ -237,6 +238,21 @@ class TestBulkTabulation:
         with pytest.raises(ValueError):
             tabulate_l_additive(delta(), 100, build_sieve(50))
 
+    def test_negative_powers_tabulate_in_ints(self):
+        # f(p) = 1/p (ld) or h(p) = 1/p: int64 numerators n**k f(n) with k = 1
+        limit = 3000
+        sieve = build_sieve(limit)
+        for fn in (ld(), custom("r", {2: 3}, f_default=1, h_default="reciprocal")):
+            t = tabulate_l_additive(fn, limit, sieve)
+            assert (t._vals.dtype, t._k) == (np.int64, 1)
+            assert t.values() == [eval_natural(fn, n, sieve) for n in range(1, limit + 1)]
+
+
+@pytest.mark.parametrize("evaluate", [eval_natural, quotient_ratio, h_eval])
+def test_errors_name_their_function(evaluate):
+    with pytest.raises(ValueError, match=f"^{evaluate.__name__} requires n >= 1$"):
+        evaluate(delta(), 0)
+
 
 PRIME_VALUES = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6))
 PRIMES = (2, 3, 5, 7, 11, 13, 31)
@@ -259,10 +275,12 @@ def custom_functions(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(custom_functions())
+# h(n) = 2**(40 Omega(n)) takes the recurrence's shadow past 2**62: the object path
+@example(custom("big_h", f_default=3, h_default=2**40))
 def test_bulk_tabulation_matches_eval_natural(fn):
     limit = 2**10
     vals = tabulate_l_additive(fn, limit, LEIBNIZ_SIEVE)
-    assert vals == [0] + [eval_natural(fn, n, LEIBNIZ_SIEVE) for n in range(1, limit + 1)]
+    assert vals.values() == [eval_natural(fn, n, LEIBNIZ_SIEVE) for n in range(1, limit + 1)]
 
 
 class TestCustomFunctions:
@@ -283,13 +301,17 @@ class TestCustomFunctions:
             custom("x", {2: 0.1})
         with pytest.raises(TypeError):
             custom("x", {}, {3: 2.0})
-        raw = LAdditiveFunction("raw", lambda p: 0.1, lambda p: 1)
+        # the data constructor refuses a float f(p) or h(p), in a rule or a map
         with pytest.raises(TypeError):
-            raw.at_prime(2)
+            LAdditiveFunction("raw", (0.1, 0), (1, 0))
         with pytest.raises(TypeError):
-            eval_natural(raw, 12)
+            LAdditiveFunction("raw", (1, 0), (0.5, 0))
         with pytest.raises(TypeError):
-            eval_natural(LAdditiveFunction("raw", lambda p: 1, lambda p: 0.5), 12)
+            LAdditiveFunction("raw", (1, 0), (1, 0), {2: 0.1})
+        with pytest.raises(TypeError):
+            LAdditiveFunction("raw", (1, 0), (1, 0), {}, {2: 0.5})
+        with pytest.raises(TypeError):
+            LAdditiveFunction("raw", (1, 0.5), (1, 0))
 
     def test_rejects_zero_h(self):
         with pytest.raises(ValueError):
@@ -305,10 +327,11 @@ class TestCustomFunctions:
         with pytest.raises(ValueError):
             custom("bad", {}, {}, f_default="cubic")
 
-    def test_h_zero_surfaces_at_use(self):
-        fn = LAdditiveFunction("raw", lambda p: Fraction(1), lambda p: Fraction(0))
+    def test_h_zero_refused_at_construction(self):
         with pytest.raises(ValueError):
-            eval_natural(fn, 6)
+            LAdditiveFunction("raw", (Fraction(1), 0), (Fraction(0), 0))
+        with pytest.raises(ValueError):
+            LAdditiveFunction("raw", (1, 0), (1, 1), {}, {5: 0})
 
     def test_delta_partial_requires_prime(self):
         with pytest.raises(ValueError):
