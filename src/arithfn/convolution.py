@@ -89,10 +89,8 @@ import numpy as np
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
-    _INT64_MAX,
+    INT64_MAX,
     LAdditiveFunction,
-    _one_dtype,
-    _prime_value,
     as_exact,
     delta,
     eval_natural,
@@ -100,8 +98,8 @@ from .ladditive import (
     l_additive_by_token,
     leibniz_numerators,
     ld,
+    mangoldt_numerators,
     prime_power_table,
-    rule_array,
     split_recurrence,
 )
 
@@ -471,7 +469,7 @@ def _power(k: int) -> BuiltinImpl:
     j = max(k, 0)
 
     def tab(limit: int, sieve: SieveTable) -> np.ndarray:
-        num = np.arange(limit + 1, dtype=np.int64 if limit**j <= _INT64_MAX else object) ** j
+        num = np.arange(limit + 1, dtype=np.int64 if limit**j <= INT64_MAX else object) ** j
         num[0] = 0
         return num
 
@@ -496,12 +494,11 @@ def _zeta_product(e: dict) -> BuiltinImpl:
     def tab(limit: int, sieve: SieveTable) -> np.ndarray:
         ps = _primes_from(sieve, limit)
         # sum_j |e_j| limit**j bounds f(p) and its partial sums at every p <= limit
-        x = ps if sum(abs(ej) * limit**j for j, ej in e.items()) <= _INT64_MAX else ps.astype(object)
+        x = ps if sum(abs(ej) * limit**j for j, ej in e.items()) <= INT64_MAX else ps.astype(object)
         f_p = sum((ej * x**j for j, ej in e.items()), np.zeros_like(x))
-        # at p**a, a >= 2, for the primes p <= sqrt(limit), in Python ints
-        c = g(ps[: np.searchsorted(ps, math.isqrt(limit), "right")].astype(object), limit.bit_length() - 1)
-        at_power = lambda a, m: f_p if a == 1 else c[a][:m]  # noqa: E731
-        return split_recurrence(sieve, limit, prime_power_table(limit, ps, at_power))
+        # c[a, i] at p**a for p = ps[i] <= sqrt(limit), in Python ints
+        c = np.array(g(ps[: np.searchsorted(ps, math.isqrt(limit), "right")].astype(object), limit.bit_length() - 1))
+        return split_recurrence(sieve, limit, prime_power_table(limit, ps, f_p, lambda i, a: c[a, i]))
 
     return BuiltinImpl(tab, lambda n: math.prod(g(p, a)[a] for p, a in factorize(n)), euler=e)
 
@@ -535,29 +532,12 @@ class MangoldtOf:
     base: LAdditiveFunction
 
 
-def _mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
-    """n * Lambda_f(n) on [0, limit]: (f(p)/h(p)) * p**a at every p**a, else 0, from fn's data:
-    f(p)/h(p) follows the rule (c/c', i - j), except at the primes of fn's maps.
-
-    The primes come from the sieve when one is given.  The numerators are ints
-    for every base that l_additive_by_token resolves, where f(p)/h(p) is an
-    int or 1/p.
-    """
-    (c, i), (d, j) = fn.f_rule, fn.h_rule
-    ratio = (as_exact(Fraction(c, d)), i - j)
-    exceptions = {}
-    for p in {*fn.f_map, *fn.h_map}:
-        exceptions[p] = as_exact(Fraction(_prime_value(fn.f_rule, fn.f_map, p), _prime_value(fn.h_rule, fn.h_map, p)))
-    ps = _primes_from(sieve, limit)
-    return prime_power_table(limit, ps, lambda a, m: rule_array(ratio, exceptions, ps[:m], a))
-
-
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
     """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0; the table
     tabulate(mangoldt:<base>) builds, with numerators n * Lambda_f(n) and k = 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return _scaled(limit, _ONE, 1, _mangoldt_numerators(m.base, limit))
+    return _scaled(limit, _ONE, 1, mangoldt_numerators(m.base, limit))
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -574,7 +554,7 @@ def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> 
 def _prime_power_supported(fn: LAdditiveFunction) -> BuiltinImpl:
     """The generalized von Mangoldt function Lambda_f, supported on prime powers."""
     m = MangoldtOf(fn)
-    tab = lambda limit, sieve: _mangoldt_numerators(fn, limit, sieve)  # noqa: E731
+    tab = lambda limit, sieve: mangoldt_numerators(fn, limit, sieve)  # noqa: E731
     return BuiltinImpl(tab, lambda n: mangoldt_eval(m, n), 1)
 
 
@@ -638,6 +618,16 @@ def resolve_builtin(name: str) -> BuiltinImpl:
 # ---------------------------------------------------------------------------
 # Tabulation and convolution
 # ---------------------------------------------------------------------------
+
+
+def _one_dtype(bound: Callable[..., int], *xs: np.ndarray) -> tuple:
+    """The operands xs of one operation in its dtype: int64 when all are int64 and
+    bound(max|x| for each x), which bounds every |result| since int64 wraps silently,
+    is at most 2**63 - 1; else object.  An object operand keeps the result object."""
+    size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
+    if all(x.dtype == np.int64 for x in xs) and bound(*map(size, xs)) <= INT64_MAX:
+        return xs
+    return tuple(np.asarray(x, dtype=object) for x in xs)
 
 
 def _convolve_padded(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:

@@ -12,7 +12,8 @@ lives in the float-based series module, not here.
 
 The sieve tabulators of every function class share two helpers here: values
 at the prime powers (prime_power_table), filled from numpy arrays over the
-primes one exponent at a time, and one recurrence (split_recurrence).
+primes and over the pairs (p, a) of the higher powers (prime_powers), and one
+recurrence (split_recurrence).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ Rational = Union[int, Fraction]
 # the prime itself or its reciprocal, the rules (c, 0), (1, 1) and (1, -1).
 DefaultRule = Union[int, Fraction, str]  # "identity" | "reciprocal" | constant
 _RULES = {"identity": (1, 1), "reciprocal": (1, -1)}
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1  # the int64 bound of every table
 
 
 def as_exact(v: Rational) -> Rational:
@@ -57,7 +58,9 @@ def _prime_value(rule: tuple, exceptions: Mapping[int, Rational], p: int) -> Rat
     v = exceptions.get(p)
     if v is None:
         c, i = rule
-        v = as_exact(c * p**i if i >= 0 else Fraction(c, p**-i))
+        v = c * p**i if i >= 0 else Fraction(c, p**-i)
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
     return v
 
 
@@ -102,28 +105,9 @@ class LAdditiveFunction:
         return max(0, -self.f_rule[1], -self.h_rule[1])
 
     def at_prime(self, p: int) -> tuple[Rational, Rational]:
-        """(f(p), h(p)) at the prime p, each an int when it is integral.  An int rule is read
-        inline, the rest through _prime_value: this is the scalar path of point evaluation."""
-        f, h = self.f_map.get(p), self.h_map.get(p)
-        if f is None:
-            c, i = self.f_rule
-            if type(c) is not int:
-                f = _prime_value(self.f_rule, {}, p)
-            elif i >= 0:
-                f = c * p**i
-            else:
-                q = p**-i
-                f = Fraction(c, q) if c % q else c // q
-        if h is None:
-            c, i = self.h_rule
-            if type(c) is not int:
-                h = _prime_value(self.h_rule, {}, p)
-            elif i >= 0:
-                h = c * p**i
-            else:
-                q = p**-i
-                h = Fraction(c, q) if c % q else c // q
-        return f, h
+        """(f(p), h(p)) at the prime p, each an int when it is integral: the scalar lookup of
+        point evaluation."""
+        return _prime_value(self.f_rule, self.f_map, p), _prime_value(self.h_rule, self.h_map, p)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LAdditiveFunction({self.name!r})"
@@ -274,23 +258,13 @@ def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = 
     return Fraction(f_n, h_n)
 
 
-def _one_dtype(bound: Callable[..., int], *xs: np.ndarray) -> tuple:
-    """The operands xs of one operation in its dtype: int64 when all are int64 and
-    bound(max|x| for each x), which bounds every |result| since int64 wraps silently,
-    is at most 2**63 - 1; else object.  An object operand keeps the result object."""
-    size = lambda x: max(int(x.max()), -int(x.min()), 1)  # noqa: E731
-    if all(x.dtype == np.int64 for x in xs) and bound(*map(size, xs)) <= _INT64_MAX:
-        return xs
-    return tuple(np.asarray(x, dtype=object) for x in xs)
-
-
 def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, k: int) -> np.ndarray:
     """p**k times the value at each prime p of the int64 array ps, the rule (c, i)'s c p**(i + k)
     or the exceptions' value where they name p.  int64 when c is an int, i + k >= 0 and
     |c| max(ps)**(i + k) fits, and the exceptions' values are ints in range; else object."""
     c, i = rule
     e = i + k
-    if type(c) is int and e >= 0 and abs(c) * (int(ps[-1]) if len(ps) else 1) ** e <= _INT64_MAX:
+    if type(c) is int and e >= 0 and abs(c) * (int(ps[-1]) if len(ps) else 1) ** e <= INT64_MAX:
         out = c * ps**e
     else:
         x = ps.astype(object)
@@ -301,7 +275,7 @@ def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, 
         at = int(np.searchsorted(ps, p))
         if at < len(ps) and ps[at] == p:
             v = as_exact(v * p**k)
-            if out.dtype == np.int64 and not (type(v) is int and abs(v) <= _INT64_MAX):
+            if out.dtype == np.int64 and not (type(v) is int and abs(v) <= INT64_MAX):
                 out = out.astype(object)
             out[at] = v
     return out
@@ -310,21 +284,32 @@ def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, 
 def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> np.ndarray:
     """n**k f(n) on [0, limit], k = fn.k, from a sieve covering limit and fn's data.  That is the
     Leibniz-additive function with prime values p**k f(p) and companion p**k h(p), whose rules
-    hold no negative power of p: its values at the prime powers, by f(p**a) = a f(p) h(p)**(a-1)
+    hold no negative power of p: its values at the prime powers, f(p**a) = a f(p) h(p)**(a-1)
     and h(p**a) = h(p)**a, as numpy expressions over the primes, then split_recurrence."""
     ps = _primes_from(sieve, limit)
     f_p = rule_array(fn.f_rule, fn.f_map, ps, fn.k)
     h_p = rule_array(fn.h_rule, fn.h_map, ps, fn.k)
+    h_pa = lambda i, a: h_p[i].astype(object) ** a  # noqa: E731
+    f_pa = lambda i, a: a * f_p[i].astype(object) * h_p[i].astype(object) ** (a - 1)  # noqa: E731
+    return split_recurrence(sieve, limit, prime_power_table(limit, ps, h_p, h_pa), prime_power_table(limit, ps, f_p, f_pa))
 
-    def f_pa(a: int, m: int) -> np.ndarray:
-        f, h = _one_dtype(lambda x, y: a * x * y ** (a - 1), f_p[:m], h_p[:m])
-        return a * f * h ** (a - 1)
 
-    def h_pa(a: int, m: int) -> np.ndarray:
-        (h,) = _one_dtype(lambda y: y**a, h_p[:m])
-        return h**a
+def mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
+    """n Lambda_f(n) on [0, limit]: (f(p)/h(p)) p**a at every p**a, else 0, from fn's data:
+    f(p)/h(p) follows the rule (c/c', i - j), except at the primes of fn's maps.
 
-    return split_recurrence(sieve, limit, prime_power_table(limit, ps, h_pa), prime_power_table(limit, ps, f_pa))
+    The primes come from the sieve when one covers limit.  The numerators are ints
+    for every base that l_additive_by_token resolves, where f(p)/h(p) is an int or 1/p.
+    """
+    (c, i), (d, j) = fn.f_rule, fn.h_rule
+    ratio = (as_exact(Fraction(c, d)), i - j)
+    exceptions = {
+        p: Fraction(_prime_value(fn.f_rule, fn.f_map, p), _prime_value(fn.h_rule, fn.h_map, p))
+        for p in {*fn.f_map, *fn.h_map}
+    }
+    ps = _primes_from(sieve, limit)
+    at_p = rule_array(ratio, exceptions, ps, 1)
+    return prime_power_table(limit, ps, at_p, lambda i, a: at_p[i].astype(object) * ps[i] ** (a - 1))
 
 
 def exact_array(values: Sequence) -> np.ndarray:
@@ -345,24 +330,33 @@ def exact_array(values: Sequence) -> np.ndarray:
     return num
 
 
-def prime_power_table(limit: int, ps: np.ndarray, at_power: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Values on [0, limit] at the prime powers, 0 elsewhere, one exponent a >= 1 at a time:
-    at_power(a, m) is the array of the values at p**a for the primes p in ps[:m], those with
-    p**a <= limit (ps the primes <= limit, an int64 array).  int64 when every value is an int
-    in range, else object dtype: exact_array's rule for an object array of values."""
-    where, values = [], []
-    q, a, m = ps, 1, len(ps)
-    while m:
-        v = at_power(a, m)
-        values.append(exact_array(v.tolist())[1:] if v.dtype == object else v)
-        where.append(q)
-        m = np.count_nonzero(q <= limit // ps[:m])  # p**(a + 1) <= limit, a prefix of ps
-        q = q[:m] * ps[:m]
-        a += 1
-    dtype = np.int64 if all(v.dtype == np.int64 for v in values) else object
-    table = np.zeros(limit + 1, dtype)
-    if values:
-        table[np.concatenate(where)] = np.concatenate(values)
+def prime_powers(limit: int, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, a): every prime power p**a <= limit with a >= 2, as p = ps[i] for ps the primes <= limit
+    (an int64 array), ascending in p and then in a.  These are the powers of the primes up to
+    sqrt(limit), every exponent at once: the largest exponent e of each p, floor(log limit /
+    log p), comes from float logs and one exact comparison each way."""
+    small = ps[: np.searchsorted(ps, math.isqrt(limit), "right")]
+    e = (math.log(max(limit, 1)) / np.log(small)).astype(np.int64)
+    e -= small**e > limit
+    e += small ** (e + 1) <= limit
+    count = e - 1  # the exponents 2..e
+    i = np.repeat(np.arange(len(small)), count)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count) + 2
+
+
+def prime_power_table(
+    limit: int, ps: np.ndarray, at_p: np.ndarray, at_pa: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Values on [0, limit] at the prime powers, 0 elsewhere: at_p holds those at the primes ps
+    (the primes <= limit, an int64 array), and at_pa(i, a) those at p**a for the pairs (i, a) of
+    prime_powers, p = ps[i], in one numpy expression over all of them.  int64 when every value
+    is an int in range, else object dtype, by exact_array's rule, with the values of an object
+    array normalized by as_exact."""
+    i, a = prime_powers(limit, ps)
+    lo, hi = (v if v.dtype == np.int64 else exact_array(list(map(as_exact, v.tolist())))[1:] for v in (at_p, at_pa(i, a)))
+    table = np.zeros(limit + 1, np.int64 if lo.dtype == hi.dtype == np.int64 else object)
+    table[ps] = lo
+    table[ps[i] ** a] = hi
     return table
 
 

@@ -26,8 +26,9 @@ from arithfn import (
     tabulate_l_additive,
 )
 from arithfn.errors import ParseError, UnknownNameError
+from arithfn.ladditive import prime_powers
 
-from oracles import delta_closed_form, leibniz_delta, leibniz_ld
+from oracles import delta_closed_form, leibniz_delta, leibniz_ld, naive_primes_up_to
 
 
 def sample_functions():
@@ -246,6 +247,15 @@ class TestBulkTabulation:
             t = tabulate_l_additive(fn, limit, sieve)
             assert (t._vals.dtype, t._k) == (np.int64, 1)
             assert t.values() == [eval_natural(fn, n, sieve) for n in range(1, limit + 1)]
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 26, 27, 28, 1023, 1024, 59048, 59049, 2**16 + 1, 10**5])
+    def test_prime_powers_lists_every_higher_power(self, limit):
+        # the float logs must not lose or add an exponent, notably where limit is a power itself
+        ps = np.array(naive_primes_up_to(limit), np.int64)
+        i, a = prime_powers(limit, ps)
+        expected = [(j, e) for j, p in enumerate(ps.tolist()) for e in range(2, limit.bit_length()) if p**e <= limit]
+        assert list(zip(i.tolist(), a.tolist())) == expected
+        assert i.dtype == a.dtype == np.int64
 
 
 @pytest.mark.parametrize("evaluate", [eval_natural, quotient_ratio, h_eval])
