@@ -32,11 +32,14 @@ tabulator and one point evaluator that works from the factorization:
     Leibniz-additive            delta, ld, big_omega, delta_p:<prime>
     prime-power-supported       mangoldt:<fn>, f(p)/h(p) at every p**k
 
-A class tabulates as its prime-power values (id_k: np.arange**k) and, for the
-multiplicative and Leibniz-additive ones, one shared recurrence
-(ladditive.split_recurrence).  A Leibniz-additive function with a negative
-power of p in its prime values tabulates as the int numerators n**k f(n):
-ld = delta/id as delta's numerators n ld(n) = delta(n) with k = 1.
+A multiplicative function tabulates as its prime-power values and one
+recurrence over the full power of the least prime (ladditive.split_recurrence),
+a prime-power-supported one as those values alone, id_k as np.arange**k, and a
+Leibniz-additive function as its values at the primes and one recurrence over
+the least prime factor (ladditive.leibniz_numerators).  A Leibniz-additive
+function with a negative power of p in its prime values tabulates as the int
+numerators n**k f(n): ld = delta/id as delta's numerators n ld(n) = delta(n)
+with k = 1.
 
 Numeric literals are scalars and combine through "." only.
 
@@ -46,9 +49,9 @@ Each builtin declares its k (ld = delta/id and id_-k have k > 0, the von
 Mangoldt builtins have k = 1, all others k = 0), and its numerators are ints;
 tables built from given values hold them as numerators with c = 1 and k = 0.
 num is one numpy array, int64 under a proven bound and object dtype otherwise
-(split_recurrence holds the bound of tabulation, _one_dtype that of every
-operation); values are type-checked only where they enter a table, and builtin
-tabulators return arrays.  The form is closed under every operation on num:
+(split_recurrence and leibniz_numerators hold the bound of tabulation,
+_one_dtype that of every operation); values are type-checked only where they
+enter a table, and builtin tabulators return arrays.  The form is closed under every operation on num:
 
     *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
         then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the

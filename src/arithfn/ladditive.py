@@ -10,10 +10,13 @@ and h(p) = c' p**j, plus finitely many exceptional primes (LAdditiveFunction).
 The natural-log variant (f(p) = log p) is irrational-valued and therefore
 lives in the float-based series module, not here.
 
-The sieve tabulators of every function class share two helpers here: values
-at the prime powers (prime_power_table), filled from numpy arrays over the
-primes and over the pairs (p, a) of the higher powers (prime_powers), and one
-recurrence (split_recurrence).
+A Leibniz-additive function tabulates by one recurrence over the least prime
+factor of n (leibniz_numerators), from its values at the primes alone.  The
+tabulators of the other function classes share two helpers here: values at
+the prime powers (prime_power_table), filled from numpy arrays over the primes
+and over the pairs (p, a) of the higher powers (prime_powers), and, for the
+multiplicative class, one recurrence over the full power of the least prime
+(split_recurrence).
 """
 
 from __future__ import annotations
@@ -260,8 +263,8 @@ def quotient_ratio(fn: LAdditiveFunction, n: int, sieve: Optional[SieveTable] = 
 
 def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, k: int) -> np.ndarray:
     """p**k times the value at each prime p of the int64 array ps, the rule (c, i)'s c p**(i + k)
-    or the exceptions' value where they name p.  int64 when c is an int, i + k >= 0 and
-    |c| max(ps)**(i + k) fits, and the exceptions' values are ints in range; else object."""
+    or the exceptions' value where they name p.  int64 when every value is an int in range,
+    else object dtype, by exact_array's rule, with the values normalized by as_exact."""
     c, i = rule
     e = i + k
     if type(c) is int and e >= 0 and abs(c) * (int(ps[-1]) if len(ps) else 1) ** e <= INT64_MAX:
@@ -278,20 +281,70 @@ def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, 
             if out.dtype == np.int64 and not (type(v) is int and abs(v) <= INT64_MAX):
                 out = out.astype(object)
             out[at] = v
-    return out
+    return out if out.dtype == np.int64 else exact_array(out.tolist())[1:]
 
 
 def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> np.ndarray:
-    """n**k f(n) on [0, limit], k = fn.k, from a sieve covering limit and fn's data.  That is the
-    Leibniz-additive function with prime values p**k f(p) and companion p**k h(p), whose rules
-    hold no negative power of p: its values at the prime powers, f(p**a) = a f(p) h(p)**(a-1)
-    and h(p**a) = h(p)**a, as numpy expressions over the primes, then split_recurrence."""
+    """n**k f(n) on [0, limit], k = fn.k, from a sieve covering limit and fn's data, by one
+    recurrence over the least prime factor q = spf(n) and m = n/q.  The numerators V = n**k f(n)
+    and those of the companion, H = n**k h(n), are preset at the primes from rule_array (rules
+    with no negative power of p), and the Leibniz rule at q gives, for every n >= 2,
+
+        H[n] = H[q] H[m],    V[n] = V[q] H[m] + H[q] V[m],
+
+    which at a prime n (m = 1, H[1] = 1, V[1] = 0) returns the preset values.  As q and m are
+    at most n/2 for composite n, a chunk [lo, hi) with hi <= 2 lo reads only finished
+    entries: four gathers per chunk.
+
+    int64 when the prime values are int64 and their shadow, the same run in float64 on
+    their absolute values, stays below 2**62 in H and in V; else object.  By induction on
+    n, the exact run on absolute values bounds |H[n]|, |V[n]| and both products of V[n].
+    Each step, one prime factor of n counted with multiplicity, adds at most 3u (u = 2**-53)
+    to the shadow's relative error: u for rounding |H[q]| and |V[q]|, u for a product and u
+    for V's sum of two nonnegative terms.  An n < 2**63 has at most 62 prime factors, so the
+    error stays below 186u < 2**-45, for which 2**62 leaves room under 2**63 - 1.
+
+    With no negative prime value the shadow is the table itself, and a shadow below 2**53
+    is exact: by induction on n every product and sum is an int below 2**53, since rounding
+    is monotone and could not take a value of 2**53 or more below it.  Its V is then the
+    int64 table, and the int64 run is skipped.
+    """
     ps = _primes_from(sieve, limit)
     f_p = rule_array(fn.f_rule, fn.f_map, ps, fn.k)
     h_p = rule_array(fn.h_rule, fn.h_map, ps, fn.k)
-    h_pa = lambda i, a: h_p[i].astype(object) ** a  # noqa: E731
-    f_pa = lambda i, a: a * f_p[i].astype(object) * h_p[i].astype(object) ** (a - 1)  # noqa: E731
-    return split_recurrence(sieve, limit, prime_power_table(limit, ps, h_p, h_pa), prime_power_table(limit, ps, f_p, f_pa))
+    spf = np.frombuffer(sieve.spf, np.dtype(sieve.spf.typecode))
+
+    def tables(dtype: type, h_at: np.ndarray, f_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h, f = np.zeros(limit + 1, dtype), np.zeros(limit + 1, dtype)
+        h[1] = 1
+        h[ps], f[ps] = h_at, f_at
+        return h, f
+
+    def run(h: np.ndarray, f: np.ndarray) -> None:
+        lo = 2
+        while lo <= limit:
+            hi = min(2 * lo, lo + 2**13, limit + 1)  # 2**13 keeps the temporaries in cache
+            q = spf[lo:hi]
+            m = (np.arange(lo, hi, dtype=np.float64) / q).astype(np.intp)  # exact: q divides n < 2**53
+            h_q, h_m = h.take(q), h.take(m)
+            f[lo:hi] = f.take(q) * h_m + h_q * f.take(m)
+            h[lo:hi] = h_q * h_m
+            lo = hi
+
+    if h_p.dtype == f_p.dtype == np.int64:
+        shadow = tables(np.float64, np.abs(h_p, dtype=np.float64), np.abs(f_p, dtype=np.float64))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
+            run(*shadow)
+            bound = max(shadow[0].max(), shadow[1].max())
+        if bound < 2.0**53 and min(h_p.min(initial=0), f_p.min(initial=0)) >= 0:
+            return shadow[1].astype(np.int64)  # the shadow is the table, exact below 2**53
+        if bound < 2.0**62:
+            exact = tables(np.int64, h_p, f_p)
+            run(*exact)
+            return exact[1]
+    exact = tables(object, h_p.astype(object), f_p.astype(object))
+    run(*exact)
+    return exact[1]
 
 
 def mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
@@ -360,42 +413,33 @@ def prime_power_table(
     return table
 
 
-def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray, f_pk: Optional[np.ndarray] = None) -> np.ndarray:
-    """The multiplicative h, or with f_pk the Leibniz-additive f with companion h, on [0, limit],
-    from the values at the prime powers, as one recurrence v[n] = A[n] + B[n] v[rest[n]] over
-    n = pk * rest (SieveTable.split), B = h_pk[pk]: h(n) = h(pk) h(rest) with A = [n == 1], then
-    f(n) = f(pk) h(rest) + h(pk) f(rest) with A = f_pk[pk] h[rest].  As rest[n] <= n/2, a chunk
-    [lo, hi) with hi <= 2 lo reads only finished entries: one gather, product and sum each.
+def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray) -> np.ndarray:
+    """The multiplicative h on [0, limit] from its values h_pk at the prime powers, by one
+    recurrence h(n) = h(pk) h(rest) over n = pk * rest (SieveTable.split), pk the full power
+    of the least prime of n, h(1) = 1.  As rest[n] <= n/2, a chunk [lo, hi) with hi <= 2 lo
+    reads only finished entries: two gathers and one product each.
 
-    int64 when the tables are and their shadow, the same run in float64 on |h_pk| and |f_pk|,
-    stays below 2**62; else object.  By induction on n, the exact run on |A| and |B| bounds
-    |v[n]|, |A[n]| and |B[n] v[rest[n]]|, and it equals the tables at prime powers.  The shadow
-    takes a product and a sum per distinct prime of n, at most 15 (16 primes multiply past
-    2**63): a relative error below 2**-47, for which 2**62 leaves room under 2**63 - 1.
+    int64 when h_pk is and its shadow, the same run in float64 on |h_pk|, stays below 2**62;
+    else object.  By induction on n, the exact run on |h_pk| bounds |h(n)|, and it equals
+    h_pk at prime powers.  The shadow takes one product per distinct prime of n, at most 15
+    (16 primes multiply past 2**63): a relative error below 2**-48, for which 2**62 leaves
+    room under 2**63 - 1.
     """
     pk, rest = (x[: limit + 1] for x in sieve.split)
-    tables = [x for x in (h_pk, f_pk) if x is not None]
 
-    def run(dtype: type, cast: Callable[[np.ndarray], np.ndarray]) -> list:
-        out: list = []  # h, then f when f_pk is given
-        for a_pk in (None, f_pk)[: len(tables)]:
-            v = np.zeros(limit + 1, dtype)
-            v[1] = 0 if out else 1
-            lo = 2
-            while lo <= limit:
-                hi = min(2 * lo, lo + 2**15, limit + 1)  # 2**15 bounds the temporaries
-                p, r = pk[lo:hi], rest[lo:hi]
-                x = cast(h_pk.take(p)) * v.take(r)
-                if out:
-                    x += cast(a_pk.take(p)) * out[0].take(r)
-                v[lo:hi] = x
-                lo = hi
-            out.append(v)
-        return out
+    def run(dtype: type, at_pk: np.ndarray) -> np.ndarray:
+        v = np.zeros(limit + 1, dtype)
+        v[1] = 1
+        lo = 2
+        while lo <= limit:
+            hi = min(2 * lo, lo + 2**15, limit + 1)  # 2**15 bounds the temporaries
+            v[lo:hi] = at_pk.take(pk[lo:hi]) * v.take(rest[lo:hi])
+            lo = hi
+        return v
 
-    if all(x.dtype == np.int64 for x in tables):
+    if h_pk.dtype == np.int64:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
-            fits = max(x.max() for x in run(np.float64, lambda x: np.abs(x, dtype=np.float64))) < 2.0**62
+            fits = run(np.float64, np.abs(h_pk, dtype=np.float64)).max() < 2.0**62
         if fits:
-            return run(np.int64, lambda x: x)[-1]
-    return run(object, lambda x: x.astype(object))[-1]
+            return run(np.int64, h_pk)
+    return run(object, h_pk.astype(object))

@@ -11,10 +11,12 @@ that takes 15 powers and 14 corrections.  For Re(s) < 0 those terms cancel,
 and rounding_bound grows with them.  F converges for Re(s) > 0 and is summed
 over primes up to a limit with an integral tail bound.
 
-Rounding.  Every sum goes through _sum_terms: one math.fsum per component
-over all computed terms, so each component of a sum is the exact sum of the
-computed terms rounded once, within half an ulp.  What is left is the error
-of the terms themselves.  With u = 2**-53, basic float operations and float()
+Rounding.  Every sum goes through _sum_terms: one binned exact sum per
+component over all computed terms (_exact_sum: the terms binned by their float
+exponent with np.bincount, the bins joined in one Python int), so each
+component of a sum is the exact sum of the computed terms rounded once, within
+half an ulp.  What is left is the error of the terms themselves.  With
+u = 2**-53, basic float operations and float()
 of an exact int or Fraction are taken as correctly rounded (relative error u)
 and numpy's pow, exp and log as within 2 ulp (4u).  Complex exp,
 e**x (cos y + i sin y), is then within (4 + 4*sqrt(2) + 1) u < 11u of its
@@ -75,6 +77,7 @@ ComplexLike = Union[int, float, complex]
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1022  # smallest normal float64
 _UNDERFLOW = 2.0**-1071  # absolute error charged per term below _TINY ("Rounding" above)
+_CHUNK = 2**15  # terms per bincount in _exact_sum
 
 # B_2, B_4, ..., B_26 as exact (numerator, denominator); zeta adds the terms of
 # B_2j/(2j)! for j <= 12 and bounds its remainder by the 13th.
@@ -116,22 +119,55 @@ class SeriesEstimate:
             raise ValueError("rounding_bound must be nonnegative")
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """The sum of a float64 array, exact and then rounded once (half to even), as math.fsum
+    gives it where fsum's partial sums stay in range.
+
+    frexp reads each finite x as m 2**e with |m| < 1 and 53 bits, that is, as a 53-bit
+    integer M = m 2**53 times 2**(e - 53), with e + 1074 in [1, 2098] (e = 0 at x = 0).  M
+    splits exactly into h 2**26 + l with -2**27 <= h < 2**27 and 0 <= l < 2**26, and
+    np.bincount sums h and l by e, _CHUNK = 2**15 terms at a time, so that every bucket sum
+    stays below 2**42 and is exact in float64; the chunks also keep the temporaries small.
+    Their int64 totals are exact below 2**36 terms.  The buckets join in one Python int,
+    the sum scaled by 2**(1074 + 53), whose int true division by that power rounds once; an
+    exact value past the float range raises OverflowError.  A sum with no nonzero term is
+    +0.0.  With a nan or an infinity the result is fsum's: ValueError for inf - inf, else
+    nan, else the infinity.
+    """
+    if not np.isfinite(x).all():
+        if np.isposinf(x).any() and np.isneginf(x).any():
+            raise ValueError("-inf + inf in fsum")
+        return math.nan if np.isnan(x).any() else float(x[np.isinf(x)][0])
+    highs, lows = np.zeros(2100, np.int64), np.zeros(2100, np.int64)  # by e + 1074
+    for lo in range(0, len(x), _CHUNK):
+        m, e = np.frexp(x[lo : lo + _CHUNK])
+        m *= 2.0**27
+        h = np.floor(m)
+        m -= h
+        m *= 2.0**26
+        e += 1074
+        highs += np.bincount(e, h, 2100).astype(np.int64)
+        lows += np.bincount(e, m, 2100).astype(np.int64)
+    i = np.flatnonzero(highs | lows)
+    total = sum(((a << 26) + b) << j for j, a, b in zip(i.tolist(), highs[i].tolist(), lows[i].tolist()))
+    return total / (1 << 1127)
+
+
 def _sum_terms(terms: np.ndarray, e, c: float = 0.0) -> tuple[complex, float]:
     """Correctly rounded sum of a float64 or complex128 term array, and its rounding bound.
 
-    Each component is one math.fsum over the whole array, fed through a
-    memoryview: the exact sum of the computed terms, rounded once.  zeta by
-    Euler-Maclaurin summation (Edwards, Riemann's Zeta Function, 1974, 6.4)
-    needs at most 2**16 terms, so every sum of the module is one array.  The
-    bound is half an ulp of each component plus u sum (e_i + c + 1) |t_i|,
-    where e is the relative error of each term in units of u (an array) or of
-    all of them (a float).  The bound's own sum is taken in float: its
-    rounding is second order.
+    Each component is one _exact_sum over the whole array: the exact sum of the
+    computed terms, rounded once.  zeta by Euler-Maclaurin summation (Edwards,
+    Riemann's Zeta Function, 1974, 6.4) needs at most 2**16 terms, so every sum of
+    the module is one array.  The bound is half an ulp of each component plus
+    u sum (e_i + c + 1) |t_i|, where e is the relative error of each term in units
+    of u (an array) or of all of them (a float).  The bound's own sum is taken in
+    float: its rounding is second order.
     """
     if np.iscomplexobj(terms):
-        value = complex(math.fsum(memoryview(terms.real)), math.fsum(memoryview(terms.imag)))
+        value = complex(_exact_sum(terms.real), _exact_sum(terms.imag))
     else:
-        value = complex(math.fsum(memoryview(terms)))
+        value = complex(_exact_sum(terms))
     mods = np.abs(terms)
     total = float(np.sum(mods))
     weighted = float(np.dot(mods, e)) if np.ndim(e) else e * total

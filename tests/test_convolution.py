@@ -18,8 +18,10 @@ from arithfn import (
     LAdditiveFunction,
     Mul,
     Scale,
+    SieveTable,
     TabulatedFunction,
     build_sieve,
+    check_series_identity,
     convolve_at,
     custom,
     dirichlet_convolve,
@@ -27,14 +29,16 @@ from arithfn import (
     evaluate_at,
     first_mismatch,
     fraction_to_str,
+    ld,
     list_identity_presets,
     parse_expression,
     tabulate,
+    tabulate_l_additive,
     verify_all,
     verify_identity,
 )
 from arithfn import convolution
-from arithfn.ladditive import eval_natural, leibniz_numerators
+from arithfn.ladditive import eval_natural, h_eval, leibniz_numerators
 from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
@@ -310,6 +314,24 @@ class TestSieveClasses:
             for n in (1, 2, 9, 27, 360, 7919, 9973, limit):
                 assert t[n] == evaluate_at(Builtin(name), n), (name, n)
 
+    def test_leibniz_tables_need_no_split(self):
+        # Leibniz-additive tables recur over spf alone; only multiplicative ones build the split
+        class NoSplitSieve(SieveTable):
+            @property
+            def split(self):
+                raise AssertionError("split built for a Leibniz-additive table")
+
+        limit = 10**4
+        full = build_sieve(limit)
+        sieve = NoSplitSieve(full.limit, full.spf, full.primes)
+        for name in ("delta", "ld"):
+            assert tab(name, limit, sieve=sieve).values() == tab(name, limit, sieve=full).values(), name
+        assert tabulate_l_additive(ld(), limit, sieve).values() == tab("ld", limit, sieve=full).values()
+        report = check_series_identity("thm3.3", 3.5, limit, limit, 1e-3, sieve=sieve)
+        assert report.to_dict() == check_series_identity("thm3.3", 3.5, limit, limit, 1e-3, sieve=full).to_dict()
+        with pytest.raises(AssertionError, match="split built"):
+            tab("tau", limit, sieve=sieve)
+
     def test_large_values_go_object(self):
         t = tab("sigma_64", 300)
         assert t._vals.dtype == object
@@ -344,6 +366,30 @@ class TestSieveClasses:
         num = leibniz_numerators(fn, 6, build_sieve(6))
         assert num.dtype == dtype
         assert num.tolist() == [0] + [eval_natural(fn, n) for n in range(1, 7)]
+
+    @pytest.mark.parametrize(
+        "fn, limit",
+        [
+            # f = c Omega with h = 1: max |f| = f(1024) = 10 c, ten steps deep, just below and
+            # above 2**62 and 2**63
+            *((custom("f", f_default=c), 1024) for c in (
+                (2**62 - 2**40) // 10, 2**62 // 10 + 2**30, (2**63 - 2**40) // 10, 2**63 // 10 + 2**30
+            )),
+            # f(2) = h(2) = 1, else f = 0 and h = c: max |h| = h(9) = c**2 while max |f| = f(6) = c
+            *((custom("h", {2: 1}, {2: 1}, h_default=c), 9) for c in (2**31 - 1, 2**31 + 1, 3037000499, 3037000500)),
+            # around 2**53, where float64 stops holding every int: f(768) = 8 c + 1 is odd
+            *((custom("f", {3: 1}, f_default=c), 1024) for c in (2**49 + 1, 2**50 + 1)),
+            # a negative prime value, which the shadow on absolute values does not hold
+            (custom("f", {3: -1}, f_default=5), 1024),
+        ],
+    )
+    def test_leibniz_bound_at_depth(self, fn, limit):
+        # int64 exactly when max |f(n)| and max |h(n)| on [1, limit] are both below 2**62
+        f = [eval_natural(fn, n) for n in range(1, limit + 1)]
+        h = [h_eval(fn, n) for n in range(1, limit + 1)]
+        num = leibniz_numerators(fn, limit, build_sieve(limit))
+        assert num.dtype == (np.int64 if max(map(abs, f + h)) < 2**62 else object)
+        assert num.tolist() == [0] + f
 
     @pytest.mark.parametrize("limit", [30029, 30030, 510510])
     def test_primorial_edges(self, limit):

@@ -4,7 +4,10 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfn import (
     MangoldtOf,
@@ -25,6 +28,7 @@ from arithfn import (
     zeta,
 )
 from arithfn.errors import OutOfDomainError, UnknownNameError
+from arithfn.series import _exact_sum, _sum_terms
 
 from oracles import fraction_sum_bracket, naive_primes_up_to
 
@@ -290,6 +294,74 @@ class TestCorrectRounding:
         assert SeriesEstimate(1.0, 10, 0.0).rounding_bound == 0.0
         with pytest.raises(ValueError):
             SeriesEstimate(1.0, 10, 0.0, -1e-17)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """a and b are the same float: equal with equal signs, or both nan."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+@st.composite
+def term_arrays(draw):
+    """float64 arrays of 0 to 5*10**4 terms, magnitudes from subnormals to about 10**308 (less
+    the room the count needs, so that fsum's partial sums stay in range), signs mixed, and
+    on request each term of a random part cancelled exactly by its negation."""
+    n = draw(st.integers(0, 5 * 10**4))
+    top = 308 - math.log10(2 * n + 2)
+    low = draw(st.floats(-323.5, top))
+    high = draw(st.floats(low, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(low, high, n)
+    if draw(st.booleans()):
+        x = np.concatenate((x, -rng.choice(x, draw(st.integers(0, n)), replace=False) if n else x))
+        rng.shuffle(x)
+    return x
+
+
+class TestExactSum:
+    """The binned exact sum of _sum_terms gives math.fsum's value, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(term_arrays(), term_arrays())
+    def test_matches_fsum(self, x, y):
+        assert _same_float(_exact_sum(x), math.fsum(x))
+        z = np.zeros(max(len(x), len(y)), complex)
+        z.real[: len(x)], z.imag[: len(y)] = x, y
+        value = _sum_terms(z, 0.0)[0]
+        assert _same_float(value.real, math.fsum(z.real)) and _same_float(value.imag, math.fsum(z.imag))
+
+    @pytest.mark.parametrize("terms", [[], [0.0], [-0.0], [-0.0, -0.0, 0.0], [5e-324, -5e-324], [1.5, -1.5]])
+    def test_zero_sum_is_positive_zero(self, terms):
+        assert _same_float(_exact_sum(np.array(terms, float)), 0.0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[math.nan], [1.0, math.nan], [math.inf, 1e308], [-math.inf, -1.0], [math.inf, math.inf], [math.inf, math.nan],
+         [math.inf, -math.inf], [math.nan, math.inf, 2.0, -math.inf]],
+    )
+    def test_nan_and_infinities_as_fsum(self, terms):
+        try:
+            expected = math.fsum(terms)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                _exact_sum(np.array(terms))
+        else:
+            assert _same_float(_exact_sum(np.array(terms)), expected)
+
+    def test_exact_sum_past_float_range_overflows(self):
+        for terms in ([1e308, 1e308], [-1.7e308, -1e308, 1.0]):
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(terms))
+
+    def test_no_intermediate_overflow(self):
+        # math.fsum raises "intermediate overflow" here; the exact sum is in range
+        assert _exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+
+    def test_strided_and_rounded_half_to_even(self):
+        # 1 + 2**-53 is a tie, rounded to the even 1.0; one more 2**-106 breaks it upward
+        x = np.array([1.0, 2.0**-53, 2.0**-106])
+        assert _exact_sum(x[:2]) == 1.0 and _exact_sum(x) == 1.0 + 2.0**-52
+        assert _exact_sum(np.repeat(x, 2)[::2]) == 1.0 + 2.0**-52
 
 
 class TestCheckSeriesIdentity:
