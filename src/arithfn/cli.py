@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -212,18 +211,15 @@ def _cmd_convolve(args) -> int:
     a = tabulate(expr_a, args.limit, sieve)
     b = tabulate(expr_b, args.limit, sieve)
     c = dirichlet_convolve(a, b)
-    # The whole table is rendered before anything is printed, so a value that
-    # cannot be rendered leaves no partial output.
+    # The whole table is rendered before anything is printed (to_csv writes it in one
+    # piece), so a value that cannot be rendered leaves no partial output.
     if args.format == "table":
         print("\n".join(f"{n}\t{c[n]}" for n in range(1, c.limit + 1)))
     elif args.format == "csv":
-        buf = io.StringIO()
-        c.to_csv(buf)
-        sys.stdout.write(buf.getvalue())
+        c.to_csv(sys.stdout)
     else:
-        obj = c.to_json_obj()
-        obj["expression"] = f"({expr_a}) * ({expr_b})"
-        print(json.dumps(obj))
+        expression = json.dumps(f"({expr_a}) * ({expr_b})")
+        print(f'{c.to_json()[:-1]}, "expression": {expression}}}')  # one more key before the final "}"
     return 0
 
 

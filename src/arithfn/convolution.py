@@ -75,7 +75,6 @@ table pairs.  verify_identity compares every case through first_mismatch.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -89,12 +88,12 @@ from typing import Callable, IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
+from .codec import parse_values, render_rows
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
     INT64_MAX,
     LAdditiveFunction,
-    as_exact,
     delta,
     eval_natural,
     exact_array,
@@ -136,6 +135,12 @@ class TabulatedFunction:
     k = 0 and an integer c that integer times it, and otherwise
     Fraction(c * _vals[n], n**k), or the int 0 where the numerator is 0.  The
     public constructors copy the given ints and Fractions with c = 1, k = 0.
+
+    The "p/q" text of to_json, to_csv and from_json goes through one numpy codec
+    (arithfn.codec) in chunks of 2**14 values: int64 numerators are written as
+    digit columns and read by an automaton and Horner's rule over byte matrices,
+    with no Python call per value; object numerators, and int64 tables whose
+    p num[n] or q n**k would leave int64, write fraction_to_str of each value.
     """
 
     __slots__ = ("limit", "_c", "_k", "_vals")
@@ -183,50 +188,51 @@ class TabulatedFunction:
         head = ", ".join(str(self[n]) for n in range(1, min(self.limit, 6) + 1))
         return f"TabulatedFunction(limit={self.limit}, values=[{head}, ...])"
 
-    def _value_strs(self) -> list[str]:
-        """The values at 1..limit as 'p/q' in lowest terms.  An int numerator is formatted as
-        p num[n]/g over q n**k/g with g their gcd (no gcd where q n**k = 1), without a Fraction."""
+    def _rows(self, numbered: bool, head: str, tail: str) -> str:
+        """The rows [n ","] head p/q tail for n = 1..limit, p/q the value at n in lowest terms.
+        Int numerators go through codec.render_rows as p num[n]/g over q n**k/g, g their gcd,
+        when _times keeps both in int64; other tables write fraction_to_str of each value."""
+        lead = [np.arange(1, self.limit + 1), b","] if numbered else []
         p, q, k = self._c.numerator, self._c.denominator, self._k
-        if q == 1 and k == 0:
-            return [f"{p * v}/1" if type(v) is int else fraction_to_str(p * v) for v in self._vals[1:].tolist()]
-        return [_lowest_terms(p * v, q * n**k) if type(v) is int else fraction_to_str(self[n])
-                for n, v in enumerate(self._vals[1:].tolist(), 1)]
+        if self._vals.dtype == np.int64:
+            num = _times(self._vals, p, 0)[1:]
+            den = _times(np.ones(self.limit + 1, np.int64), q, k)[1:]
+            if num.dtype == den.dtype == np.int64:
+                if q == 1 and k == 0:
+                    return render_rows([*lead, head.encode(), num, f"/1{tail}".encode()], self.limit)
+                g = np.gcd(num, den)
+                return render_rows([*lead, head.encode(), num // g, b"/", den // g, tail.encode()], self.limit)
+        strs = map(fraction_to_str, self.values())
+        if numbered:
+            return "".join(f"{n},{head}{v}{tail}" for n, v in enumerate(strs, 1))
+        return "".join(f"{head}{v}{tail}" for v in strs)
 
     def to_csv(self, out: IO[str]) -> None:
-        """CSV with columns n, value (value always as 'p/q')."""
-        w = csv.writer(out)
-        w.writerow(["n", "value"])
-        w.writerows(enumerate(self._value_strs(), 1))
-
-    def to_json_obj(self) -> dict:
-        return {"limit": self.limit, "values": self._value_strs()}
+        """CSV with columns n, value (value always as 'p/q'), as csv.writer writes it; the
+        text is rendered whole before it is written."""
+        out.write("n,value\r\n" + self._rows(True, "", "\r\n"))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """{"limit": N, "values": ["p/q", ...]} as json.dumps writes it."""
+        values = self._rows(False, '"', '", ')[:-2]  # no ", " after the last value
+        return f'{{"limit": {self.limit}, "values": [{values}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "TabulatedFunction":
+        """The table of to_json's text.  Each value is "p/q" or "p" in the grammar
+        -?[0-9]+(/[0-9]+)? with q nonzero, read by codec.parse_values; any other value,
+        leading '+', whitespace and '_' included, raises ValueError naming its n."""
         obj = json.loads(text)
         limit = obj.get("limit") if isinstance(obj, dict) else None
         if type(limit) is not int or limit < 1 or not isinstance(obj.get("values"), list):
             raise ValueError("malformed table: expected an object with int 'limit' >= 1 and list 'values'")
-        vals = [0]
-        for n, s in enumerate(obj["values"], 1):
-            try:  # "p/1" becomes an int without a Fraction
-                vals.append(int(s[:-2]) if s.endswith("/1") else as_exact(fraction_from_str(s)))
-            except (AttributeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"malformed value at n = {n}: {s!r}") from None
-        if len(vals) - 1 != obj["limit"]:
+        num = parse_values(obj["values"])
+        if len(num) - 1 != limit:
             raise ValueError("limit does not match number of values")
-        return cls(len(vals) - 1, vals)
+        return _scaled(limit, _ONE, 0, num)
 
 
 _ONE = Fraction(1)
-
-
-def _lowest_terms(a: int, b: int) -> str:
-    g = math.gcd(a, b)
-    return f"{a // g}/{b // g}"
 
 
 def _scaled(limit: int, c: Fraction, k: int, num: np.ndarray) -> TabulatedFunction:

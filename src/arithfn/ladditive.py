@@ -423,7 +423,10 @@ def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray) -> np.ndar
     else object.  By induction on n, the exact run on |h_pk| bounds |h(n)|, and it equals
     h_pk at prime powers.  The shadow takes one product per distinct prime of n, at most 15
     (16 primes multiply past 2**63): a relative error below 2**-48, for which 2**62 leaves
-    room under 2**63 - 1.
+    room under 2**63 - 1.  With no negative value in h_pk the shadow is the table itself,
+    and a shadow below 2**53 is exact: every entry is the product of two earlier ones, and
+    rounding is monotone, so no product of 2**53 or more rounds below it.  That shadow is
+    returned as int64, without the int64 run.
     """
     pk, rest = (x[: limit + 1] for x in sieve.split)
 
@@ -439,7 +442,10 @@ def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray) -> np.ndar
 
     if h_pk.dtype == np.int64:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
-            fits = run(np.float64, np.abs(h_pk, dtype=np.float64)).max() < 2.0**62
-        if fits:
+            shadow = run(np.float64, np.abs(h_pk, dtype=np.float64))
+            bound = shadow.max()
+        if bound < 2.0**53 and h_pk.min() >= 0:
+            return shadow.astype(np.int64)  # the shadow is the table, exact below 2**53
+        if bound < 2.0**62:
             return run(np.int64, h_pk)
     return run(object, h_pk.astype(object))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -38,7 +39,7 @@ from arithfn import (
     verify_identity,
 )
 from arithfn import convolution
-from arithfn.ladditive import eval_natural, h_eval, leibniz_numerators
+from arithfn.ladditive import as_exact, eval_natural, h_eval, leibniz_numerators
 from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
@@ -297,6 +298,21 @@ class TestSieveClasses:
             t = tab(name, limit)
             assert t._vals.dtype == np.int64, name
             assert t[limit] == naive_sigma_k(limit, k), name
+
+    @pytest.mark.parametrize(
+        "name, limit",
+        # max sigma_3 on [1, N] first reaches 2**53 at N = 196080, and sigma_3(197136 = 444**2)
+        # is odd and above it, so no float64 holds it; sigma_2 stays far below
+        [("sigma_3", 196079), ("sigma_3", 196080), ("sigma_3", 197136), ("sigma_2", 10**5)],
+    )
+    def test_multiplicative_tables_around_2_53(self, name, limit):
+        # a nonnegative table below 2**53 is its float64 shadow; at or above it, the int64 run
+        t = tab(name, limit)
+        assert t._vals.dtype == np.int64
+        big = np.flatnonzero(t._vals >= 2**53 - 2**10)
+        sample = random.Random(limit).sample(range(1, limit + 1), 200)
+        for n in [*big.tolist(), *sample, limit]:
+            assert t[n] == evaluate_at(Builtin(name), n), (name, limit, n)
 
     def test_leibniz_tables_read_prime_values_as_data(self, monkeypatch):
         # no per-prime Python call: tabulation never reaches the scalar lookup at_prime
@@ -986,11 +1002,49 @@ class TestTabulatedFunctionIO:
         tau = tab("tau", 300)
         assert dirichlet_convolve(copy, tau).to_json() == dirichlet_convolve(t, tau).to_json()
 
-    @pytest.mark.parametrize("bad", ["1/0", "x", "", "1.5", 5, None])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "1/0", "x", "", "1.5", 5, None,
+            # forms int() reads that the grammar -?[0-9]+(/[0-9]+)? refuses
+            "+5/1", " 5/1", "5 ", "5_0/1", "\u0665/1", "1/-2", "1/+2", "1//2", "-", "--5", "1/", "/1",
+            "1\n2", "5\x00",
+            # rows past the automaton's width, read by int() alone
+            "5" * 5000, "5" * 5000 + "/1", "1" * 40 + "/-2", "1" * 40 + "/" + "0" * 20, "1/" + "0" * 40,
+        ],
+    )
     def test_malformed_json_value_names_n(self, bad):
         text = json.dumps({"limit": 3, "values": ["1/1", "2/3", bad]})
         with pytest.raises(ValueError, match="at n = 3"):
             TabulatedFunction.from_json(text)
+
+    @pytest.mark.parametrize(
+        "values, n",
+        [
+            (["1/1", "2/3", "x", 5], 3),  # a malformed str before a non-str
+            (["1/1", 5, "x"], 2),
+            (["1/1", "\u0665", "1" * 30], 2),
+            (["1" * 30, "1/" + "0" * 30, "x"], 2),  # a zero denominator of more than 18 digits
+            (["1/1"] * (2**14 + 2) + ["1/0", "x"], 2**14 + 3),  # in the second chunk
+        ],
+    )
+    def test_first_malformed_value_is_named(self, values, n):
+        with pytest.raises(ValueError, match=f"at n = {n}:"):
+            TabulatedFunction.from_json(json.dumps({"limit": len(values), "values": values}))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("5", 5), ("-0/1", 0), ("007/1", 7), ("4/2", 2), ("-6/4", Fraction(-3, 2)), ("0/7", 0),
+            ("-9223372036854775808", -(2**63)), ("9223372036854775807/1", 2**63 - 1),
+            ("18446744073709551616/18446744073709551616", 1), ("3" * 40, int("3" * 40)),
+            ("-1/" + "0" * 30 + "2", Fraction(-1, 2)), ("3/1" + "0" * 20, Fraction(3, 10**20)),
+        ],
+    )
+    def test_json_values_in_the_grammar(self, text, value):
+        t = TabulatedFunction.from_json(json.dumps({"limit": 2, "values": ["1/1", text]}))
+        assert t[2] == value and type(t[2]) is type(value)
+        assert t._vals.dtype == (np.int64 if type(value) is int and -(2**63) <= value < 2**63 else object)
 
     @pytest.mark.parametrize(
         "doc",
@@ -1037,6 +1091,37 @@ class TestTabulatedFunctionIO:
             assert buf.getvalue() == "n,value\r\n" + "".join(f"{n},{v}\r\n" for n, v in enumerate(strs, 1))
         assert tab("-2 . tau", 3).to_json() == '{"limit": 3, "values": ["-2/1", "-4/1", "-4/1"]}'
         assert tab("3/2 . ld", 4).to_json() == '{"limit": 4, "values": ["0/1", "3/4", "1/2", "3/2"]}'
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["int64", "wide", "fraction", "3/2 . ld", "id_-2 . delta", "1/3 . (ld * tau)", "-2 . tau"]),
+        st.integers(1, 3000),
+        st.integers(0, 2**32),
+    )
+    def test_text_round_trip(self, kind, limit, seed):
+        # to_json and to_csv write the json and csv modules' text of fraction_to_str, and
+        # from_json reads it back to the table with exact_array's dtype and value types
+        rng = random.Random(seed)
+        extremes = [-(2**63), 2**63 - 1, 10**18, -(10**18), 10**18 - 1, 1 - 10**18, 0]
+        draw = {
+            "int64": lambda: rng.choice(extremes) if rng.random() < 0.2 else rng.randint(-(10 ** rng.randint(0, 18)), 10**18),
+            "wide": lambda: rng.randint(-(2**70), 2**70) if rng.random() < 0.3 else rng.randint(-9, 9),
+            "fraction": lambda: Fraction(rng.randint(-(10 ** rng.randint(0, 25)), 10**25), rng.randint(1, 10 ** rng.randint(1, 25))),
+        }.get(kind)
+        t = TabulatedFunction.from_values([draw() for _ in range(limit)]) if draw else tab(kind, limit)
+        strs = [fraction_to_str(v) for v in t.values()]
+        assert t.to_json() == json.dumps({"limit": limit, "values": strs})
+        buf, want = io.StringIO(), io.StringIO()
+        t.to_csv(buf)
+        w = csv.writer(want)
+        w.writerow(["n", "value"])
+        w.writerows(enumerate(strs, 1))
+        assert buf.getvalue() == want.getvalue()
+        copy = TabulatedFunction.from_json(t.to_json())
+        same = TabulatedFunction.from_values([as_exact(v) for v in t.values()])
+        assert copy == t
+        assert copy._vals.dtype == same._vals.dtype
+        assert [type(v) for v in copy.values()] == [type(v) for v in same.values()]
 
     def test_fraction_to_str(self):
         assert [fraction_to_str(v) for v in (0, -3, Fraction(6, 4), Fraction(-1, 3))] == [
