@@ -87,20 +87,22 @@ def parse_values(values: list) -> np.ndarray:
     int64 when every value is an int in range, else object dtype with Python ints and
     Fractions in lowest terms (exact_array's rule).  The first value that is not a str in
     the grammar raises ValueError("malformed value at n = <n>: ...")."""
-    num, den = np.zeros((2, len(values) + 1), np.int64)
-    den[0] = 1
+    num = np.zeros(len(values) + 1, np.int64)
+    dens: dict = {}  # n -> denominator, where it is not 1
     wide: dict = {}  # n -> value, for the rows read by _read_wide
     for lo in range(0, len(values), _CHUNK):
         strs = values[lo : lo + _CHUNK]
-        rows = slice(lo + 1, lo + 1 + len(strs))
-        bad = _parse_chunk(strs, num[rows], den[rows], wide, lo + 1)
+        den = np.empty(len(strs), np.int64)
+        bad = _parse_chunk(strs, num[lo + 1 : lo + 1 + len(strs)], den, wide, lo + 1)
         if bad is not None:
             raise ValueError(f"malformed value at n = {lo + bad + 1}: {strs[bad]!r}")
-    if not wide and (den == 1).all():
+        i = np.flatnonzero(den != 1)
+        dens.update(zip((i + lo + 1).tolist(), den[i].tolist()))
+    if not wide and not dens:
         return num
-    vals, dens = num.tolist(), den.tolist()
-    for n in np.flatnonzero(den != 1).tolist():
-        vals[n] = Fraction(vals[n], dens[n])
+    vals = num.tolist()
+    for n, q in dens.items():
+        vals[n] = Fraction(vals[n], q)
     for n, v in wide.items():
         vals[n] = v
     return exact_array(vals[1:])
@@ -132,7 +134,7 @@ def _parse_chunk(strs: list, num: np.ndarray, den: np.ndarray, wide: dict, n0: i
     width = min(int(lens.max()), _WIDTH)
     padded = np.frombuffer(b"\n" * _DIGITS + buf + b"\n" * width, np.uint8)
     state = np.zeros(len(strs), np.uint16)
-    nd, dd = np.zeros((2, len(strs)), np.int64)  # the digits of each part
+    nd, dd = np.zeros((2, len(strs)), np.int16)  # the digits of each part
     for col in _columns(padded, starts, width):
         state = _STEP.take(state | col)
         nd += state == _NUM
