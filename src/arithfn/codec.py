@@ -117,6 +117,8 @@ def _parse_chunk(strs: list, num: np.ndarray, den: np.ndarray, wide: dict, n0: i
     _WIDTH wide and counts the digits of each part; _horner then reads each part.  A longer
     row has a part of more than 18 digits or is malformed; it and every row with such a
     part are read by _read_wide, row by row."""
+    if not strs:
+        return None
     try:
         buf = "\n".join(strs).encode("ascii")
         ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\n"))
@@ -127,8 +129,6 @@ def _parse_chunk(strs: list, num: np.ndarray, den: np.ndarray, wide: dict, n0: i
         first = next(i for i, s in enumerate(strs) if not (isinstance(s, str) and s.isascii() and "\n" not in s))
         bad = _parse_chunk(strs[:first], num[:first], den[:first], wide, n0)
         return first if bad is None else bad
-    if not strs:
-        return None
     starts = np.concatenate(([0], ends + 1)) + _DIGITS  # in padded
     lens = np.diff(np.concatenate((starts, [len(buf) + _DIGITS + 1])))  # with the '\n'
     width = min(int(lens.max()), _WIDTH)
@@ -185,13 +185,18 @@ def _horner(padded: np.ndarray, ends: np.ndarray, digits: np.ndarray) -> np.ndar
 
 
 def _read_wide(s: str) -> Optional[Rational]:
-    """The value of one ASCII string in the module grammar by int(), or None when it is
-    malformed, its denominator is 0 or a part is past int()'s digit limit."""
+    """The value of one ASCII string in the module grammar by fraction_from_str, or None
+    when it is malformed, its denominator is 0 or a part is past int()'s digit limit."""
     p, slash, q = s.partition("/")
     if not (p.removeprefix("-").isdigit() and (q.isdigit() or not slash)):
         return None
     try:
-        q = int(q) if slash else 1
-        return as_exact(Fraction(int(p), q)) if q else None
-    except ValueError:
+        return as_exact(fraction_from_str(s))
+    except (ValueError, ZeroDivisionError):
         return None
+
+
+def fraction_from_str(s: str) -> Fraction:
+    """The Fraction of "p/q" or "p" text, each part read by int()."""
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den) if den else 1)

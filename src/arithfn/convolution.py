@@ -88,7 +88,7 @@ from typing import Callable, IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .codec import parse_values, render_rows
+from .codec import fraction_from_str, parse_values, render_rows
 from .errors import ParseError, UnknownNameError
 from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
@@ -113,11 +113,6 @@ def fraction_to_str(v: Rational) -> str:
     if not isinstance(v, (int, Fraction)):
         raise TypeError(f"values must be exact rationals (int or Fraction), got {v!r}")
     return f"{v.numerator}/{v.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -79,7 +78,6 @@ _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1022  # smallest normal float64
 _UNDERFLOW = 2.0**-1071  # absolute error charged per term below _TINY ("Rounding" above)
 _CHUNK = 2**15  # terms per bincount in _exact_sum
-_BLOCK = 2.0 ** np.arange(8)  # the weights of 8 buckets in a row
 
 # B_2, B_4, ..., B_26 as exact (numerator, denominator); zeta adds the terms of
 # B_2j/(2j)! for j <= 12 and bounds its remainder by the 13th.
@@ -128,33 +126,30 @@ def _exact_sum(x: np.ndarray) -> float:
     frexp reads each finite x as m 2**e with |m| < 1 and 53 bits, that is, as a 53-bit
     integer M = m 2**53 times 2**(e - 53), with e + 1074 in [1, 2098] (e = 0 at x = 0).  M
     splits exactly into h 2**26 + l with -2**27 <= h < 2**27 and 0 <= l < 2**26, and
-    np.bincount sums h and l by e - b, b the least e of the chunk, _CHUNK = 2**15 terms at a
-    time, so that every bucket sum stays below 2**42 and is exact in float64; the chunks
-    also keep the temporaries small.  A product with _BLOCK joins each 8 buckets in a row
-    into one float, exact below 2**50, so that the Python work grows with the exponent
-    range present over 8.  The blocks join in one Python int, the sum scaled by
-    2**(1074 + 53), whose int true division by that power rounds once; an exact value past
-    the float range raises OverflowError.  A sum with no nonzero term is +0.0.  With a nan
-    or an infinity the result is fsum's: ValueError for inf - inf, else nan, else the
-    infinity.
+    np.bincount sums h and l by e, _CHUNK = 2**15 terms at a time, so that every bucket sum
+    stays below 2**42 and is exact in float64; the chunks also keep the temporaries small.
+    Their int64 totals are exact below 2**36 terms.  The buckets join in one Python int,
+    the sum scaled by 2**(1074 + 53), whose int true division by that power rounds once; an
+    exact value past the float range raises OverflowError.  A sum with no nonzero term is
+    +0.0.  With a nan or an infinity the result is fsum's: ValueError for inf - inf, else
+    nan, else the infinity.
     """
-    if np.count_nonzero(np.isfinite(x)) < len(x):
+    if not np.isfinite(x).all():
         if np.isposinf(x).any() and np.isneginf(x).any():
             raise ValueError("-inf + inf in fsum")
         return math.nan if np.isnan(x).any() else float(x[np.isinf(x)][0])
-    total = 0
+    highs, lows = np.zeros(2100, np.int64), np.zeros(2100, np.int64)  # by e + 1074
     for lo in range(0, len(x), _CHUNK):
         m, e = np.frexp(x[lo : lo + _CHUNK])
         m *= 2.0**27
         h = np.floor(m)
-        m -= h  # l / 2**26
-        b = int(e.min())
-        e -= b
-        n = int(e.max()) // 8 + 1  # blocks
-        highs = (np.bincount(e, h, 8 * n).reshape(n, 8) @ _BLOCK).tolist()
-        lows = (np.bincount(e, m, 8 * n).reshape(n, 8) @ (_BLOCK * 2.0**26)).tolist()
-        bits = range(b + 1074, b + 1074 + 8 * n, 8)  # the exponent of each block, shifted to >= 0
-        total += (sum(map(operator.lshift, map(int, highs), bits)) << 26) + sum(map(operator.lshift, map(int, lows), bits))
+        m -= h
+        m *= 2.0**26
+        e += 1074
+        highs += np.bincount(e, h, 2100).astype(np.int64)
+        lows += np.bincount(e, m, 2100).astype(np.int64)
+    i = np.flatnonzero(highs | lows)
+    total = sum(((a << 26) + b) << j for j, a, b in zip(i.tolist(), highs[i].tolist(), lows[i].tolist()))
     return total / (1 << 1127)
 
 

@@ -978,6 +978,16 @@ def _failing_report():
     return VerificationReport("fixture", 4, False, n, lv, rv, "id * delta = 1/3 . tau . delta", 0.001)
 
 
+MALFORMED_VALUES = [
+    "1/0", "x", "", "1.5", 5, None,
+    # forms int() reads that the grammar -?[0-9]+(/[0-9]+)? refuses
+    "+5/1", " 5/1", "5 ", "5_0/1", "\u0665/1", "1/-2", "1/+2", "1//2", "-", "--5", "1/", "/1",
+    "1\n2", "5\x00",
+    # rows past the automaton's width, read by int() alone
+    "5" * 5000, "5" * 5000 + "/1", "1" * 40 + "/-2", "1" * 40 + "/" + "0" * 20, "1/" + "0" * 40,
+]
+
+
 class TestTabulatedFunctionIO:
     def test_csv(self):
         buf = io.StringIO()
@@ -1002,21 +1012,17 @@ class TestTabulatedFunctionIO:
         tau = tab("tau", 300)
         assert dirichlet_convolve(copy, tau).to_json() == dirichlet_convolve(t, tau).to_json()
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "1/0", "x", "", "1.5", 5, None,
-            # forms int() reads that the grammar -?[0-9]+(/[0-9]+)? refuses
-            "+5/1", " 5/1", "5 ", "5_0/1", "\u0665/1", "1/-2", "1/+2", "1//2", "-", "--5", "1/", "/1",
-            "1\n2", "5\x00",
-            # rows past the automaton's width, read by int() alone
-            "5" * 5000, "5" * 5000 + "/1", "1" * 40 + "/-2", "1" * 40 + "/" + "0" * 20, "1/" + "0" * 40,
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED_VALUES)
     def test_malformed_json_value_names_n(self, bad):
         text = json.dumps({"limit": 3, "values": ["1/1", "2/3", bad]})
         with pytest.raises(ValueError, match="at n = 3"):
             TabulatedFunction.from_json(text)
+
+    @pytest.mark.parametrize("bad", MALFORMED_VALUES)
+    def test_malformed_first_json_value(self, bad):
+        # the first value of a chunk has no rows before it to read
+        with pytest.raises(ValueError, match="at n = 1:"):
+            TabulatedFunction.from_json(json.dumps({"limit": 1, "values": [bad]}))
 
     @pytest.mark.parametrize(
         "values, n",
@@ -1026,6 +1032,8 @@ class TestTabulatedFunctionIO:
             (["1/1", "\u0665", "1" * 30], 2),
             (["1" * 30, "1/" + "0" * 30, "x"], 2),  # a zero denominator of more than 18 digits
             (["1/1"] * (2**14 + 2) + ["1/0", "x"], 2**14 + 3),  # in the second chunk
+            (["1/1"] * 2**14 + [None, "x"], 2**14 + 1),  # first in the second chunk, not a str
+            (["1/1"] * 2**14 + ["1\n2"], 2**14 + 1),
         ],
     )
     def test_first_malformed_value_is_named(self, values, n):

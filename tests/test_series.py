@@ -364,15 +364,6 @@ class TestExactSum:
         assert _exact_sum(np.repeat(x, 2)[::2]) == 1.0 + 2.0**-52
 
 
-def test_exact_sum_with_full_buckets():
-    # one chunk of the largest mantissa in 24 binades in a row, 1365 terms each: every bucket
-    # of h holds about 2**37.4, so buckets joined 24 at a time would pass 2**53; less the
-    # rounded total, the sum is the rounding error alone, which shows any bit lost
-    terms = np.tile(np.ldexp(1.0 - 2.0**-53, np.arange(24)), 1365)
-    x = np.append(terms, -math.fsum(terms))
-    assert _exact_sum(x) == math.fsum(x) != 0.0
-
-
 class TestCheckSeriesIdentity:
     def test_pass_points(self, sieve_1e6, cache_1e6):
         # one step beyond each declared boundary, where truncation at 10**6
