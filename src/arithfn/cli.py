@@ -14,6 +14,7 @@ import json
 import math
 import sys
 
+from .codec import number_parts
 from .convolution import (
     VerificationReport,
     convolve_at,
@@ -38,15 +39,23 @@ _LIMIT_HELP = (
 
 
 def _rational_arg(text: str) -> tuple[int, int]:
-    num, sep, den = text.partition("/")
     try:
-        p = int(num)
-        q = int(den) if sep else 1
+        p, q = number_parts(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"rational must look like <p>/<q>, got {text!r}")
-    if p < 1 or q < 1:
+        raise argparse.ArgumentTypeError(f"rational must look like <p>/<q>, got {text!r}") from None
+    if p < 1:
         raise argparse.ArgumentTypeError("rational parts must be positive integers")
-    return p, q
+    return p, q or 1
+
+
+def _int_arg(text: str) -> int:
+    try:
+        p, q = number_parts(text)
+        if q is None:
+            return p
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _complex_arg(text: str) -> complex:
@@ -58,10 +67,7 @@ def _complex_arg(text: str) -> complex:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    v = _int_arg(text)
     if v < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return v
@@ -130,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_positive_int, default=10000, help=_LIMIT_HELP + " (default: 10000)")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_int_arg,
         default=0,
         help="seed for the randomized presets (compmult-distr); default 0",
     )
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--primes", type=_positive_int, default=100000, help="prime cutoff for F (default: 100000)"
     )
     p.add_argument("--tol", type=_positive_float, default=1e-6, help="absolute tolerance (default: 1e-6)")
-    p.add_argument("--k", type=int, default=2, help="power for cor-sigmak (default: 2)")
+    p.add_argument("--k", type=_int_arg, default=2, help="power for cor-sigmak (default: 2)")
 
     sub.add_parser("list-identities", parents=[common], help="list every preset with its formula")
 

@@ -8,19 +8,22 @@ in the grammar
     value := '-'? digit+ ('/' digit+)?        digit := '0' .. '9', the '/' part nonzero
 
 with a vectorised automaton over the columns of a padded byte matrix and Horner's rule in
-int64.  Both work in chunks of _CHUNK rows, which bounds their temporaries.
+int64.  Both work in chunks of _CHUNK rows, which bounds their temporaries.  number_parts
+reads the same grammar one value at a time, for every other exact number read as text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .ladditive import Rational, as_exact, exact_array
+from .ladditive import as_exact, exact_array
 
 _CHUNK = 2**14  # rows per step
+_NUMBER = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")  # the module grammar, one value at a time
 
 _DIGITS = 18  # a part of at most 18 digits is below 10**18 < 2**63
 _WIDTH = 2 * _DIGITS + 3  # the longest row with two such parts, '-', '/' and '\n'
@@ -89,7 +92,7 @@ def parse_values(values: list) -> np.ndarray:
     the grammar raises ValueError("malformed value at n = <n>: ...")."""
     num = np.zeros(len(values) + 1, np.int64)
     dens: dict = {}  # n -> denominator, where it is not 1
-    wide: dict = {}  # n -> value, for the rows read by _read_wide
+    wide: dict = {}  # n -> value, for the rows read by fraction_from_str
     for lo in range(0, len(values), _CHUNK):
         strs = values[lo : lo + _CHUNK]
         den = np.empty(len(strs), np.int64)
@@ -116,7 +119,7 @@ def _parse_chunk(strs: list, num: np.ndarray, den: np.ndarray, wide: dict, n0: i
     The automaton steps every row, with its '\n', over the columns of a byte matrix at most
     _WIDTH wide and counts the digits of each part; _horner then reads each part.  A longer
     row has a part of more than 18 digits or is malformed; it and every row with such a
-    part are read by _read_wide, row by row."""
+    part are read by fraction_from_str, row by row."""
     if not strs:
         return None
     try:
@@ -147,11 +150,11 @@ def _parse_chunk(strs: list, num: np.ndarray, den: np.ndarray, wide: dict, n0: i
     bad = ~long & (state != _DONE) | ~wide_rows & (den == 0) & (dd > 0)
     first = int(np.argmax(bad)) if bad.any() else len(strs)
     for i in np.flatnonzero(wide_rows[:first]).tolist():
-        v = _read_wide(strs[i])
-        if v is None:
+        try:
+            wide[n0 + i] = as_exact(fraction_from_str(strs[i]))
+        except ValueError:
             first = i
             break
-        wide[n0 + i] = v
     if first < len(strs):
         return first
     num[wide_rows] = 0
@@ -184,19 +187,16 @@ def _horner(padded: np.ndarray, ends: np.ndarray, digits: np.ndarray) -> np.ndar
     return value
 
 
-def _read_wide(s: str) -> Optional[Rational]:
-    """The value of one ASCII string in the module grammar by fraction_from_str, or None
-    when it is malformed, its denominator is 0 or a part is past int()'s digit limit."""
-    p, slash, q = s.partition("/")
-    if not (p.removeprefix("-").isdigit() and (q.isdigit() or not slash)):
-        return None
-    try:
-        return as_exact(fraction_from_str(s))
-    except (ValueError, ZeroDivisionError):
-        return None
+def number_parts(s: str) -> tuple[int, Optional[int]]:
+    """(p, q) of "p/q" text, or (p, None) of "p", in the module grammar, as written; any other
+    text, q = 0 and parts past int()'s digit limit included, raises ValueError."""
+    m = _NUMBER.fullmatch(s)
+    if m is None:
+        raise ValueError(f"malformed number {s!r}: expected -?[0-9]+(/[0-9]+)?, q nonzero")
+    return int(m[1]), None if m[2] is None else int(m[2])
 
 
 def fraction_from_str(s: str) -> Fraction:
-    """The Fraction of "p/q" or "p" text, each part read by int()."""
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    """The Fraction of "p/q" or "p" text in the module grammar, read by number_parts."""
+    p, q = number_parts(s)
+    return Fraction(p, q or 1)

@@ -49,9 +49,10 @@ Each builtin declares its k (ld = delta/id and id_-k have k > 0, the von
 Mangoldt builtins have k = 1, all others k = 0), and its numerators are ints;
 tables built from given values hold them as numerators with c = 1 and k = 0.
 num is one numpy array, int64 under a proven bound and object dtype otherwise
-(split_recurrence and leibniz_numerators hold the bound of tabulation,
-_one_dtype that of every operation); values are type-checked only where they
-enter a table, and builtin tabulators return arrays.  The form is closed under every operation on num:
+(ladditive.exact_by_shadow holds the bound of tabulation for both sieve
+recurrences, _one_dtype that of every operation); values are type-checked only
+where they enter a table, and builtin tabulators return arrays, which one route
+(_table) turns into tables.  The form is closed under every operation on num:
 
     *   align both sides to k = max(k1, k2) by multiplying num by n**(k - ki);
         then (c1 a/n**k) * (c2 b/n**k) = c1 c2 (a * b)/n**k, because the
@@ -94,12 +95,10 @@ from .factor import SieveTable, _primes_from, build_sieve, divisors, factorize
 from .ladditive import (
     INT64_MAX,
     LAdditiveFunction,
-    delta,
     eval_natural,
     exact_array,
     l_additive_by_token,
     leibniz_numerators,
-    ld,
     mangoldt_numerators,
     prime_power_table,
     split_recurrence,
@@ -129,7 +128,8 @@ class TabulatedFunction:
     Fractions, by one rule: with c = 1 and k = 0 the stored numerator, with
     k = 0 and an integer c that integer times it, and otherwise
     Fraction(c * _vals[n], n**k), or the int 0 where the numerator is 0.  The
-    public constructors copy the given ints and Fractions with c = 1, k = 0.
+    public constructor, from_values, copies the given ints and Fractions with
+    c = 1, k = 0; __init__ takes limit, c, k and num unchecked, for tables built here.
 
     The "p/q" text of to_json, to_csv and from_json goes through one numpy codec
     (arithfn.codec) in chunks of 2**14 values: int64 numerators are written as
@@ -140,21 +140,16 @@ class TabulatedFunction:
 
     __slots__ = ("limit", "_c", "_k", "_vals")
 
-    def __init__(self, limit: int, padded_values: list):
-        # padded_values[n] is the value at n; index 0 is unused filler.
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        if len(padded_values) != limit + 1:
-            raise ValueError("padded value list must have length limit + 1")
-        self.limit = limit
-        self._c = _ONE
-        self._k = 0
-        self._vals = exact_array(padded_values[1:])
+    def __init__(self, limit: int, c: Fraction, k: int, num: np.ndarray):
+        self.limit, self._c, self._k, self._vals = limit, c, k, num
 
     @classmethod
     def from_values(cls, values: Iterable[Rational]) -> "TabulatedFunction":
-        vals = [0, *values]
-        return cls(len(vals) - 1, vals)
+        """The table of the given ints and Fractions at n = 1, 2, ... (ValueError if none)."""
+        num = exact_array(list(values))
+        if len(num) == 1:
+            raise ValueError("limit must be >= 1")
+        return cls(len(num) - 1, _ONE, 0, num)
 
     def __getitem__(self, n: int) -> Rational:
         if not 1 <= n <= self.limit:
@@ -224,17 +219,10 @@ class TabulatedFunction:
         num = parse_values(obj["values"])
         if len(num) - 1 != limit:
             raise ValueError("limit does not match number of values")
-        return _scaled(limit, _ONE, 0, num)
+        return cls(limit, _ONE, 0, num)
 
 
 _ONE = Fraction(1)
-
-
-def _scaled(limit: int, c: Fraction, k: int, num: np.ndarray) -> TabulatedFunction:
-    """The table c * num[n] / n**k, without validation: for tables built here."""
-    t = TabulatedFunction.__new__(TabulatedFunction)
-    t.limit, t._c, t._k, t._vals = limit, c, k, num
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +337,9 @@ def _lex(text: str) -> list[tuple[str, object]]:
         kind = m.lastgroup
         tok, i = m[kind], m.start(kind)
         if kind == "num":
-            num, slash, den = tok.partition("/")
             try:
-                tok = Fraction(int(num), int(den) if slash else 1)
-            except (ValueError, ZeroDivisionError):  # "p/", "p/0", or too many digits for int()
+                tok = fraction_from_str(tok)
+            except ValueError:  # "p/", "p/0", or too many digits for int()
                 raise ParseError(f"malformed rational at position {i}: {text[i:]!r}") from None
         elif kind == "bad":
             raise ParseError(f"unexpected character {tok!r} at position {i}")
@@ -499,12 +486,26 @@ def _zeta_product(e: dict) -> BuiltinImpl:
         ps = _primes_from(sieve, limit)
         # sum_j |e_j| limit**j bounds f(p) and its partial sums at every p <= limit
         x = ps if sum(abs(ej) * limit**j for j, ej in e.items()) <= INT64_MAX else ps.astype(object)
-        f_p = sum((ej * x**j for j, ej in e.items()), np.zeros_like(x))
+        f_p = g(x, 1)[1]
         # c[a, i] at p**a for p = ps[i] <= sqrt(limit), in Python ints
         c = np.array(g(ps[: np.searchsorted(ps, math.isqrt(limit), "right")].astype(object), limit.bit_length() - 1))
         return split_recurrence(sieve, limit, prime_power_table(limit, ps, f_p, lambda i, a: c[a, i]))
 
     return BuiltinImpl(tab, lambda n: math.prod(g(p, a)[a] for p, a in factorize(n)), euler=e)
+
+
+def _table(impl: BuiltinImpl, limit: int, sieve: Optional[SieveTable]) -> TabulatedFunction:
+    """The table of a function class on [1, limit] from a sieve covering limit, or none where
+    impl needs none: impl.tabulate's numerators over n**impl.k, checked to be int64 or object,
+    since a float or narrower dtype is not exact."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if sieve is not None and sieve.limit < limit:
+        raise ValueError("sieve does not cover the requested limit")
+    num = impl.tabulate(limit, sieve)
+    if num.dtype not in (np.int64, object):
+        raise TypeError(f"tabulation gave {num.dtype} numerators, not int64 or object")
+    return TabulatedFunction(limit, _ONE, impl.k, num)
 
 
 def _leibniz_additive(fn: LAdditiveFunction) -> BuiltinImpl:
@@ -518,11 +519,7 @@ def tabulate_l_additive(fn: LAdditiveFunction, limit: int, sieve: SieveTable) ->
     numerators n**k f(n) from leibniz_numerators, k = fn.k, so a rule with a negative power of
     p, as ld()'s f(p) = 1/p, still tabulates in ints.  Bulk companion to eval_natural; the two
     paths agree and are tested against each other."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if sieve.limit < limit:
-        raise ValueError("sieve does not cover the requested limit")
-    return _scaled(limit, _ONE, fn.k, leibniz_numerators(fn, limit, sieve))
+    return _table(_leibniz_additive(fn), limit, sieve)
 
 
 @dataclass(frozen=True)
@@ -539,9 +536,7 @@ class MangoldtOf:
 def mangoldt_tabulate(m: MangoldtOf, limit: int) -> TabulatedFunction:
     """Tabulation on [1, limit]: f(p)/h(p) at every p**k (k >= 1), else 0; the table
     tabulate(mangoldt:<base>) builds, with numerators n * Lambda_f(n) and k = 1."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    return _scaled(limit, _ONE, 1, mangoldt_numerators(m.base, limit))
+    return _table(_prime_power_supported(m.base), limit, None)
 
 
 def mangoldt_eval(m: MangoldtOf, n: int, sieve: Optional[SieveTable] = None) -> Fraction:
@@ -577,8 +572,6 @@ _CATALOG = {
     "mu": _zeta_product({0: -1}),
     "tau": _zeta_product({0: 2}),
     "phi": _zeta_product({1: 1, 0: -1}),
-    "delta": _leibniz_additive(delta()),
-    "ld": _leibniz_additive(ld()),  # k = 1: n ld(n) = delta(n)
 }
 
 
@@ -666,7 +659,7 @@ def _times(num: np.ndarray, s: int, d: int) -> np.ndarray:
 
 def _mul(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
     u, v = _one_dtype(operator.mul, x._vals, y._vals)
-    return _scaled(x.limit, x._c * y._c, x._k + y._k, u * v)
+    return TabulatedFunction(x.limit, x._c * y._c, x._k + y._k, u * v)
 
 
 def _aligned(x: TabulatedFunction, y: TabulatedFunction) -> tuple:
@@ -683,7 +676,7 @@ def _aligned(x: TabulatedFunction, y: TabulatedFunction) -> tuple:
 def _add(x: TabulatedFunction, y: TabulatedFunction) -> TabulatedFunction:
     c, k, a, b = _aligned(x, y)
     a, b = _one_dtype(operator.add, a, b)
-    return _scaled(x.limit, c, k, a + b)
+    return TabulatedFunction(x.limit, c, k, a + b)
 
 
 def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFunction:
@@ -693,12 +686,10 @@ def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFun
         key = (normalize_builtin_name(expr.name), limit)
         num = cache.get(key)
         if num is None:
-            num = impl.tabulate(limit, sieve)
-            if num.dtype not in (np.int64, object):  # a float or narrower dtype is not exact
-                raise TypeError(f"tabulating {key[0]} gave {num.dtype} numerators, not int64 or object")
+            num = _table(impl, limit, sieve)._vals
             num.setflags(write=False)
             cache[key] = num
-        return _scaled(limit, _ONE, impl.k, num)
+        return TabulatedFunction(limit, _ONE, impl.k, num)
     if isinstance(expr, (Conv, Mul, Add)):
         x = _tab(expr.left, limit, sieve, cache)
         y = _tab(expr.right, limit, sieve, cache)
@@ -707,16 +698,8 @@ def _tab(expr: Expr, limit: int, sieve: SieveTable, cache: dict) -> TabulatedFun
         return _mul(x, y) if isinstance(expr, Mul) else _add(x, y)
     if isinstance(expr, Scale):
         t = _tab(expr.child, limit, sieve, cache)
-        return _scaled(limit, expr.coeff * t._c, t._k, t._vals)
+        return TabulatedFunction(limit, expr.coeff * t._c, t._k, t._vals)
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _covering_sieve(sieve: Optional[SieveTable], limit: int) -> SieveTable:
-    if sieve is None:
-        return build_sieve(max(limit, 2))
-    if sieve.limit < limit:
-        raise ValueError("sieve does not cover the requested limit")
-    return sieve
 
 
 def tabulate(
@@ -725,10 +708,10 @@ def tabulate(
     sieve: Optional[SieveTable] = None,
     cache: Optional[dict] = None,
 ) -> TabulatedFunction:
-    """Pointwise values of the expression on [1, limit]."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    sieve = _covering_sieve(sieve, limit)
+    """Pointwise values of the expression on [1, limit], from a sieve covering limit, built
+    when none is given."""
+    if sieve is None:
+        sieve = build_sieve(max(limit, 2))
     return _tab(expr, limit, sieve, cache if cache is not None else {})
 
 
@@ -743,7 +726,7 @@ def dirichlet_convolve(a: TabulatedFunction, b: TabulatedFunction) -> TabulatedF
         raise ValueError(f"limit mismatch: {a.limit} != {b.limit}")
     k = max(a._k, b._k)
     num = _convolve_padded(_times(a._vals, 1, k - a._k), _times(b._vals, 1, k - b._k), a.limit)
-    return _scaled(a.limit, a._c * b._c, k, num)
+    return TabulatedFunction(a.limit, a._c * b._c, k, num)
 
 
 def evaluate_at(expr: Expr, n: int) -> Fraction:
@@ -802,7 +785,7 @@ def dirichlet_inverse(a: TabulatedFunction) -> TabulatedFunction:
         E[1] -= L  # E[1] = u(1) B[1] = L, so this is 0 in any dtype
         B, D = _one_dtype(operator.add, B, div(_convolve_padded(B, E, m), L))
         B = B - D
-    return _scaled(limit, 1 / (a._c * L), a._k, B)
+    return TabulatedFunction(limit, 1 / (a._c * L), a._k, B)
 
 
 def first_mismatch(
@@ -890,8 +873,8 @@ def _compmult_cases(limit: int, seed: int) -> Iterator[tuple[TabulatedFunction, 
     draws = random.Random(seed).choices([p * (12 // q) for p in range(-3, 4) for q in range(1, 5)], k=2 * limit)
     uv = np.zeros((2, limit + 1), np.int64)
     uv[:, 1:] = np.reshape(draws, (2, limit))
-    u, v = (_scaled(limit, Fraction(1, 12), 0, w) for w in uv)
-    h = _scaled(limit, _ONE, 0, np.arange(limit + 1, dtype=np.int64))
+    u, v = (TabulatedFunction(limit, Fraction(1, 12), 0, w) for w in uv)
+    h = TabulatedFunction(limit, _ONE, 0, np.arange(limit + 1, dtype=np.int64))
     label = "id . (u * v) = (id . u) * (id . v)"
     yield _mul(h, dirichlet_convolve(u, v)), dirichlet_convolve(_mul(h, u), _mul(h, v)), label
 
@@ -1024,7 +1007,8 @@ def verify_identity(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     t0 = time.perf_counter()
-    sieve = _covering_sieve(sieve, limit)
+    if sieve is None:
+        sieve = build_sieve(max(limit, 2))
     cache = cache if cache is not None else {}
 
     def tab(text: str) -> TabulatedFunction:

@@ -16,7 +16,8 @@ tabulators of the other function classes share two helpers here: values at
 the prime powers (prime_power_table), filled from numpy arrays over the primes
 and over the pairs (p, a) of the higher powers (prime_powers), and, for the
 multiplicative class, one recurrence over the full power of the least prime
-(split_recurrence).
+(split_recurrence).  Both recurrences take their dtype, int64 under a proven
+bound or object, from one rule with its proof (exact_by_shadow).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ Rational = Union[int, Fraction]
 DefaultRule = Union[int, Fraction, str]  # "identity" | "reciprocal" | constant
 _RULES = {"identity": (1, 1), "reciprocal": (1, -1)}
 INT64_MAX = 2**63 - 1  # the int64 bound of every table
+_CHUNK = 2**13  # entries per step of a sieve recurrence, which keeps its temporaries in cache
 
 
 def as_exact(v: Rational) -> Rational:
@@ -160,14 +162,13 @@ def custom(
     )
 
 
+_NAMED = {"delta": delta, "ld": ld, "big_omega": big_omega}
+
+
 def l_additive_by_token(token: str) -> LAdditiveFunction:
     """Resolve a textual name: delta, ld, big_omega, or delta_p:<prime>."""
-    if token == "delta":
-        return delta()
-    if token == "ld":
-        return ld()
-    if token == "big_omega":
-        return big_omega()
+    if token in _NAMED:
+        return _NAMED[token]()
     if token.startswith("delta_p:"):
         tail = token.split(":", 1)[1]
         if not (tail.isascii() and tail.isdigit()):
@@ -284,6 +285,31 @@ def rule_array(rule: tuple, exceptions: Mapping[int, Rational], ps: np.ndarray, 
     return out if out.dtype == np.int64 else exact_array(out.tolist())[1:]
 
 
+def exact_by_shadow(run: Callable[..., list], *seeds: np.ndarray) -> np.ndarray:
+    """The last array of run(*seeds): int64 under a proven bound, else object dtype.
+
+    run is a sieve recurrence on arrays of the seeds' dtype: the seeds are its values at the
+    primes or prime powers and are among its entries, and each entry at n >= 2 is made by
+    products, and at most one sum of two products, of entries at n/p**a and seeds at p**a.
+    Its shadow, run on the float64 |seeds|, bounds every |value| of the int64 run, with a
+    relative error of at most 3u (u = 2**-53) per prime factor of p**a: u for rounding a
+    seed, u for a product and u for a sum of nonnegative terms.  An n < 2**63 has at most 62
+    prime factors, so the error stays below 186u < 2**-45, and a shadow below 2**62 leaves
+    room under 2**63 - 1 for the int64 run.  With no negative seed the shadow is the table
+    itself, exact below 2**53: rounding is monotone, so no product or sum of 2**53 or more
+    rounds below it.  That shadow is returned as int64, without the int64 run.
+    """
+    if all(s.dtype == np.int64 for s in seeds):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
+            shadow = run(*(np.abs(s, dtype=np.float64) for s in seeds))
+            bound = max(x.max() for x in shadow)
+        if bound < 2.0**53 and min(s.min(initial=0) for s in seeds) >= 0:
+            return shadow[-1].astype(np.int64)  # the shadow is the table, exact below 2**53
+        if bound < 2.0**62:
+            return run(*seeds)[-1]
+    return run(*(s.astype(object) for s in seeds))[-1]
+
+
 def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> np.ndarray:
     """n**k f(n) on [0, limit], k = fn.k, from a sieve covering limit and fn's data, by one
     recurrence over the least prime factor q = spf(n) and m = n/q.  The numerators V = n**k f(n)
@@ -294,57 +320,29 @@ def leibniz_numerators(fn: LAdditiveFunction, limit: int, sieve: SieveTable) -> 
 
     which at a prime n (m = 1, H[1] = 1, V[1] = 0) returns the preset values.  As q and m are
     at most n/2 for composite n, a chunk [lo, hi) with hi <= 2 lo reads only finished
-    entries: four gathers per chunk.
-
-    int64 when the prime values are int64 and their shadow, the same run in float64 on
-    their absolute values, stays below 2**62 in H and in V; else object.  By induction on
-    n, the exact run on absolute values bounds |H[n]|, |V[n]| and both products of V[n].
-    Each step, one prime factor of n counted with multiplicity, adds at most 3u (u = 2**-53)
-    to the shadow's relative error: u for rounding |H[q]| and |V[q]|, u for a product and u
-    for V's sum of two nonnegative terms.  An n < 2**63 has at most 62 prime factors, so the
-    error stays below 186u < 2**-45, for which 2**62 leaves room under 2**63 - 1.
-
-    With no negative prime value the shadow is the table itself, and a shadow below 2**53
-    is exact: by induction on n every product and sum is an int below 2**53, since rounding
-    is monotone and could not take a value of 2**53 or more below it.  Its V is then the
-    int64 table, and the int64 run is skipped.
+    entries: four gathers per chunk.  The seeds of exact_by_shadow are the values at the primes.
     """
     ps = _primes_from(sieve, limit)
     f_p = rule_array(fn.f_rule, fn.f_map, ps, fn.k)
     h_p = rule_array(fn.h_rule, fn.h_map, ps, fn.k)
     spf = np.frombuffer(sieve.spf, np.dtype(sieve.spf.typecode))
 
-    def tables(dtype: type, h_at: np.ndarray, f_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, f = np.zeros(limit + 1, dtype), np.zeros(limit + 1, dtype)
+    def run(h_at: np.ndarray, f_at: np.ndarray) -> list:
+        h, f = np.zeros(limit + 1, h_at.dtype), np.zeros(limit + 1, f_at.dtype)
         h[1] = 1
         h[ps], f[ps] = h_at, f_at
-        return h, f
-
-    def run(h: np.ndarray, f: np.ndarray) -> None:
         lo = 2
         while lo <= limit:
-            hi = min(2 * lo, lo + 2**13, limit + 1)  # 2**13 keeps the temporaries in cache
+            hi = min(2 * lo, lo + _CHUNK, limit + 1)
             q = spf[lo:hi]
             m = (np.arange(lo, hi, dtype=np.float64) / q).astype(np.intp)  # exact: q divides n < 2**53
             h_q, h_m = h.take(q), h.take(m)
             f[lo:hi] = f.take(q) * h_m + h_q * f.take(m)
             h[lo:hi] = h_q * h_m
             lo = hi
+        return [h, f]
 
-    if h_p.dtype == f_p.dtype == np.int64:
-        shadow = tables(np.float64, np.abs(h_p, dtype=np.float64), np.abs(f_p, dtype=np.float64))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
-            run(*shadow)
-            bound = max(shadow[0].max(), shadow[1].max())
-        if bound < 2.0**53 and min(h_p.min(initial=0), f_p.min(initial=0)) >= 0:
-            return shadow[1].astype(np.int64)  # the shadow is the table, exact below 2**53
-        if bound < 2.0**62:
-            exact = tables(np.int64, h_p, f_p)
-            run(*exact)
-            return exact[1]
-    exact = tables(object, h_p.astype(object), f_p.astype(object))
-    run(*exact)
-    return exact[1]
+    return exact_by_shadow(run, h_p, f_p)
 
 
 def mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[SieveTable] = None) -> np.ndarray:
@@ -356,10 +354,7 @@ def mangoldt_numerators(fn: LAdditiveFunction, limit: int, sieve: Optional[Sieve
     """
     (c, i), (d, j) = fn.f_rule, fn.h_rule
     ratio = (as_exact(Fraction(c, d)), i - j)
-    exceptions = {
-        p: Fraction(_prime_value(fn.f_rule, fn.f_map, p), _prime_value(fn.h_rule, fn.h_map, p))
-        for p in {*fn.f_map, *fn.h_map}
-    }
+    exceptions = {p: Fraction(*fn.at_prime(p)) for p in {*fn.f_map, *fn.h_map}}
     ps = _primes_from(sieve, limit)
     at_p = rule_array(ratio, exceptions, ps, 1)
     return prime_power_table(limit, ps, at_p, lambda i, a: at_p[i].astype(object) * ps[i] ** (a - 1))
@@ -417,35 +412,19 @@ def split_recurrence(sieve: SieveTable, limit: int, h_pk: np.ndarray) -> np.ndar
     """The multiplicative h on [0, limit] from its values h_pk at the prime powers, by one
     recurrence h(n) = h(pk) h(rest) over n = pk * rest (SieveTable.split), pk the full power
     of the least prime of n, h(1) = 1.  As rest[n] <= n/2, a chunk [lo, hi) with hi <= 2 lo
-    reads only finished entries: two gathers and one product each.
-
-    int64 when h_pk is and its shadow, the same run in float64 on |h_pk|, stays below 2**62;
-    else object.  By induction on n, the exact run on |h_pk| bounds |h(n)|, and it equals
-    h_pk at prime powers.  The shadow takes one product per distinct prime of n, at most 15
-    (16 primes multiply past 2**63): a relative error below 2**-48, for which 2**62 leaves
-    room under 2**63 - 1.  With no negative value in h_pk the shadow is the table itself,
-    and a shadow below 2**53 is exact: every entry is the product of two earlier ones, and
-    rounding is monotone, so no product of 2**53 or more rounds below it.  That shadow is
-    returned as int64, without the int64 run.
+    reads only finished entries: two gathers and one product each.  h_pk is the seed of
+    exact_by_shadow.
     """
     pk, rest = (x[: limit + 1] for x in sieve.split)
 
-    def run(dtype: type, at_pk: np.ndarray) -> np.ndarray:
-        v = np.zeros(limit + 1, dtype)
+    def run(at_pk: np.ndarray) -> list:
+        v = np.zeros(limit + 1, at_pk.dtype)
         v[1] = 1
         lo = 2
         while lo <= limit:
-            hi = min(2 * lo, lo + 2**15, limit + 1)  # 2**15 bounds the temporaries
+            hi = min(2 * lo, lo + _CHUNK, limit + 1)
             v[lo:hi] = at_pk.take(pk[lo:hi]) * v.take(rest[lo:hi])
             lo = hi
-        return v
+        return [v]
 
-    if h_pk.dtype == np.int64:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the bound
-            shadow = run(np.float64, np.abs(h_pk, dtype=np.float64))
-            bound = shadow.max()
-        if bound < 2.0**53 and h_pk.min() >= 0:
-            return shadow.astype(np.int64)  # the shadow is the table, exact below 2**53
-        if bound < 2.0**62:
-            return run(np.int64, h_pk)
-    return run(object, h_pk.astype(object))
+    return exact_by_shadow(run, h_pk)

@@ -52,6 +52,44 @@ class TestFactorCommand:
         assert run(["factor", "--rational", "0/3"]) == 2
 
 
+class TestNumberArguments:
+    """Integer and rational arguments keep to the grammar of exact-number text,
+    -?[0-9]+(/[0-9]+)?, which int() alone would widen."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "\u0661\u0662"],
+            ["factor", "12/1"],
+            ["factor", "--rational", "\u0663/2"],
+            ["factor", "--rational", "+3/2"],
+            ["factor", "--rational", "3_0/2"],
+            ["factor", "--rational", "3/+2"],
+            ["eval", "delta", "--rational", " 3/2"],
+            ["convolve", "one", "one", "--at", "\u0663"],
+            ["verify", "eq13", "--limit", "10", "--seed", "+1"],
+            ["series", "cor-sigmak", "--s", "4", "--k", "\u0662"],
+        ],
+    )
+    def test_other_forms_exit_two_with_one_line(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["factor", "--rational", "30/2"], "30/2 = 3 * 5"),
+            (["factor", "0012"], "12 = 2^2 * 3"),
+            (["eval", "delta", "--rational", "3/2"], "-1/4"),
+        ],
+    )
+    def test_accepted_forms_echo_as_written(self, capsys, argv, out):
+        assert run(argv) == 0
+        assert out_lines(capsys) == [out]
+
+
 BIG_PRIME = "1000000000000000003"
 PAST_PSI13 = "10000000000039000000000000037"  # no prime factor below 1000, and above psi_13
 

@@ -17,6 +17,7 @@ from arithfn import (
     Builtin,
     Conv,
     LAdditiveFunction,
+    MangoldtOf,
     Mul,
     Scale,
     SieveTable,
@@ -30,8 +31,10 @@ from arithfn import (
     evaluate_at,
     first_mismatch,
     fraction_to_str,
+    l_additive_by_token,
     ld,
     list_identity_presets,
+    mangoldt_tabulate,
     parse_expression,
     tabulate,
     tabulate_l_additive,
@@ -40,6 +43,7 @@ from arithfn import (
 )
 from arithfn import convolution
 from arithfn.ladditive import as_exact, eval_natural, h_eval, leibniz_numerators
+from arithfn.codec import fraction_from_str
 from arithfn.convolution import VerificationReport
 from arithfn.errors import ParseError, UnknownNameError
 
@@ -329,6 +333,18 @@ class TestSieveClasses:
             assert int_numerators(t), name
             for n in (1, 2, 9, 27, 360, 7919, 9973, limit):
                 assert t[n] == evaluate_at(Builtin(name), n), (name, n)
+
+    @pytest.mark.parametrize("limit", [1, 2, 97, 10**4])
+    @pytest.mark.parametrize("token", ["delta", "ld", "big_omega", "delta_p:3"])
+    def test_public_tabulators_build_the_builtin_tables(self, token, limit):
+        fn, sieve = l_additive_by_token(token), build_sieve(max(limit, 2))
+        pairs = [
+            (tabulate_l_additive(fn, limit, sieve), tab(token, limit, sieve=sieve)),
+            (mangoldt_tabulate(MangoldtOf(fn), limit), tab(f"mangoldt:{token}", limit, sieve=sieve)),
+        ]
+        for t, u in pairs:
+            assert (t._vals.dtype, t._k) == (u._vals.dtype, u._k)
+            assert t.values() == u.values()
 
     def test_leibniz_tables_need_no_split(self):
         # Leibniz-additive tables recur over spf alone; only multiplicative ones build the split
@@ -1018,6 +1034,15 @@ class TestTabulatedFunctionIO:
         with pytest.raises(ValueError, match="at n = 3"):
             TabulatedFunction.from_json(text)
 
+    @pytest.mark.parametrize("bad", [v for v in MALFORMED_VALUES if isinstance(v, str)])
+    def test_one_value_reader_keeps_to_the_grammar(self, bad):
+        # the reader of reports, expression numbers and command-line numbers
+        with pytest.raises(ValueError):
+            fraction_from_str(bad)
+        report = VerificationReport("eq13", 1, False, 1, Fraction(1), Fraction(2), "c", 0.0).to_dict()
+        with pytest.raises(ValueError):
+            VerificationReport.from_dict({**report, "rhs": bad})
+
     @pytest.mark.parametrize("bad", MALFORMED_VALUES)
     def test_malformed_first_json_value(self, bad):
         # the first value of a chunk has no rows before it to read
@@ -1073,15 +1098,20 @@ class TestTabulatedFunctionIO:
     def test_inexact_values_are_rejected_naming_n(self, bad):
         with pytest.raises(TypeError, match="at n = 3 "):
             TabulatedFunction.from_values([1, Fraction(1, 2), bad, 4])
-        with pytest.raises(TypeError, match="at n = 2 "):
-            TabulatedFunction(3, [0, 1, bad, 3])
+        with pytest.raises(TypeError, match="at n = 1 "):
+            TabulatedFunction.from_values(iter([bad, 2, 3]))
 
     def test_constructors_copy_the_given_values(self):
-        padded = [0, 1, 2, 3]
+        ints = [1, 2, 3]
         values = [1, Fraction(1, 2), 2**70]
-        t, u = TabulatedFunction(3, padded), TabulatedFunction.from_values(values)
-        padded[1] = values[0] = 99
+        t, u = TabulatedFunction.from_values(ints), TabulatedFunction.from_values(values)
+        ints[1] = values[0] = 99
         assert t.values() == [1, 2, 3] and u.values() == [1, Fraction(1, 2), 2**70]
+
+    @pytest.mark.parametrize("values", [[], iter(())])
+    def test_no_values_are_no_table(self, values):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            TabulatedFunction.from_values(values)
 
     def test_strings_are_the_values_in_lowest_terms(self):
         # int, scaled, Fraction and wide-int tables; c = 1 and k = 0 take the no-gcd path
