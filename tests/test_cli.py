@@ -68,7 +68,7 @@ class TestNumberArguments:
             ["eval", "delta", "--rational", " 3/2"],
             ["convolve", "one", "one", "--at", "\u0663"],
             ["verify", "eq13", "--limit", "10", "--seed", "+1"],
-            ["series", "cor-sigmak", "--s", "4", "--k", "\u0662"],
+            ["series", "cor-sigmak", "--s", "5", "--limit", "1000", "--primes", "1000", "--tol", "0.01", "--k", "\u0662"],
         ],
     )
     def test_other_forms_exit_two_with_one_line(self, capsys, argv):
